@@ -1,13 +1,14 @@
 """Classical phase-space primitives for 1-DOF hamiltonian systems.
 
 Phase points are numpy arrays ``[p, q]`` -- momentum first.  The symplectic
-algebra (skew product, triangle areas, Poisson brackets) and the
-implicit-midpoint flow defined here are the substrate for everything
-downstream: shell construction, chord geometry, decoherence integrals.
+algebra (skew product, triangle areas, Poisson brackets), the
+implicit-midpoint flow and the adaptive closed-orbit integration defined
+here are the substrate for everything downstream: shell construction,
+quantization, chord geometry, decoherence integrals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -168,7 +169,9 @@ def midpoint_step(system, x, dt, tol: float = 1e-14, max_iter: int = 80):
     """One implicit-midpoint step; fixed-point iteration on the midpoint.
 
     Symplectic, time-reversible, second order; preserves quadratic
-    hamiltonians exactly.  x may be a batch (..., 2).
+    hamiltonians exactly.  x may be a batch (..., 2).  Raises
+    RuntimeError when the iteration has not converged after max_iter
+    sweeps (dt too large for the local stiffness).
     """
     x = np.asarray(x, dtype=float)
     y = x + dt * system.velocity(x)  # Euler predictor
@@ -178,7 +181,9 @@ def midpoint_step(system, x, dt, tol: float = 1e-14, max_iter: int = 80):
         if np.max(np.abs(y_new - y)) < tol * scale:
             return y_new
         y = y_new
-    return y  # non-stiff flows converge long before max_iter
+    raise RuntimeError(
+        f"implicit midpoint step dt={dt} did not converge in {max_iter} "
+        "iterations; reduce dt")
 
 
 def hamiltonian_flow(system, x0, t: float, dt: float = 1e-3,
@@ -207,69 +212,53 @@ def hamiltonian_flow(system, x0, t: float, dt: float = 1e-3,
     return Trajectory(times=np.asarray(times), points=np.stack(pts))
 
 
-def _detect_period(system, x0, dt, t_max):
-    """First return of the section (x - x0) . v0 through zero from below."""
+def _closed_orbit(system, x0, t_max: float = 400.0):
+    """(period, dense solution, area) of the closed orbit through x0.
+
+    One DOP853 integration of (p, q, oint p dq) with dense output; a
+    section through x0 normal to the initial velocity stops it at the
+    first return (Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+    """
+    from scipy.integrate import solve_ivp
+
+    x0 = np.asarray(x0, dtype=float)
     v0 = system.velocity(x0)
     speed = float(np.hypot(v0[0], v0[1]))
     if speed == 0.0:
         raise ShellError("fixed point: no closed orbit through this point")
     v0 = v0 / speed
-    x = np.asarray(x0, dtype=float)
-    g_prev = 0.0
-    t = 0.0
-    armed = False  # require g < 0 once before accepting a + crossing
-    while t < t_max:
-        x_new = midpoint_step(system, x, dt)
-        g_new = float(np.dot(x_new - x0, v0))
-        if g_new < 0:
-            armed = True
-        if armed and g_prev < 0 <= g_new:
-            # bisect the crossing inside [t, t + dt]
-            lo, hi = 0.0, dt
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                g_mid = float(np.dot(midpoint_step(system, x, mid) - x0, v0))
-                if g_mid < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return t + 0.5 * (lo + hi)
-        x, g_prev, t = x_new, g_new, t + dt
-    raise ShellError(f"no closed orbit found within t_max={t_max}")
+
+    def rhs(t, y):
+        v = system.velocity(y[:2])
+        return [v[0], v[1], y[0] * v[1]]
+
+    def section(t, y):
+        # the start itself sits on the section; only a return counts
+        return float(np.dot(y[:2] - x0, v0)) if t > 0 else 1.0
+
+    section.terminal = True
+    section.direction = 1.0
+    sol = solve_ivp(rhs, (0.0, t_max), [x0[0], x0[1], 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-12, dense_output=True,
+                    events=section)
+    if sol.status == -1:
+        raise RuntimeError(f"orbit integration failed: {sol.message}")
+    if not sol.t_events[0].size:
+        raise ShellError(f"no closed orbit found within t_max={t_max}")
+    period = float(sol.t_events[0][0])
+    return period, sol.sol, float(sol.y_events[0][0][2])
 
 
-def find_period(system, x0, dt: float = 1e-3, t_max: float = 400.0) -> float:
-    """Period of the closed orbit through x0.
-
-    The section-crossing time of the discrete flow carries an O(dt^2)
-    phase error, so the detection is run at dt and dt/2 and Richardson
-    extrapolated; the residual is O(dt^4).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    t1 = _detect_period(system, x0, dt, t_max)
-    t2 = _detect_period(system, x0, 0.5 * dt, t_max)
-    return (4.0 * t2 - t1) / 3.0
+def find_period(system, x0, t_max: float = 400.0) -> float:
+    """Period of the closed orbit through x0 (first section return)."""
+    return _closed_orbit(system, x0, t_max)[0]
 
 
-def periodic_orbit(system, x0, n: int = 2048, dt_cap: float = 5e-4):
-    """(period, samples): n points uniformly spaced in time along the orbit.
-
-    Substeps are capped at dt_cap so the sample placement error stays well
-    below chord-action tolerances.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    period = find_period(system, x0)
-    dt_s = period / n
-    k = max(1, int(np.ceil(dt_s / dt_cap)))
-    h = dt_s / k
-    pts = np.empty((n, 2))
-    pts[0] = x0
-    x = x0
-    for m in range(1, n):
-        for _ in range(k):
-            x = midpoint_step(system, x, h)
-        pts[m] = x
-    return period, pts
+def periodic_orbit(system, x0, n: int = 2048):
+    """(period, samples): n points uniformly spaced in time along the orbit,
+    read off the dense output of one adaptive integration."""
+    period, dense, _ = _closed_orbit(system, x0)
+    return period, dense(period * np.arange(n) / n)[:2].T
 
 
 def shell_start(system, energy: float, p_max: float = 1e3):

@@ -9,9 +9,8 @@ invertible and keeps trace / marginal / overlap identities exact.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "hermite_psi",
     "position_matrix",
     "momentum_matrix",
-    "weyl_ordered_matrix",
     "weyl_transform",
     "inverse_weyl",
     "wigner_of_state",
@@ -40,8 +38,6 @@ __all__ = [
     "energy_mean",
     "energy_variance",
     "purity",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -71,16 +67,6 @@ class EigenBasis:
     @property
     def count(self) -> int:
         return len(self.energies)
-
-    def density_from_weights(self, weights) -> np.ndarray:
-        """Diagonal (in this basis) density matrix from weights."""
-        w = np.asarray(weights, dtype=float)
-        return np.diag(w / np.sum(w)).astype(complex)
-
-    def rho_position(self, rho_basis: np.ndarray) -> "DensityGrid":
-        """Map a basis-representation density matrix onto the grid."""
-        mat = self.psis.T @ rho_basis @ self.psis.conj()
-        return DensityGrid(qs=self.qs, rho=mat, hbar=self.hbar)
 
 
 def _separable_potential(system) -> Callable:
@@ -131,14 +117,16 @@ def solve_eigenstates(system_or_potential, hbar: float, count: int,
         auto_name = getattr(system_or_potential, "__name__", "potential")
     name = name if name is not None else auto_name
 
-    key = (name, float(hbar), count, n_grid, half_width)
-    if name and key in _EIGEN_CACHE:
-        return _EIGEN_CACHE[key]
+    # keyed on V itself, sampled on the scan grid, not on the name: two
+    # systems that share a name but not a potential never share a basis
+    scan = np.linspace(-30, 30, 4001)
+    vscan = np.asarray(potential(scan), dtype=float)
+    key = (vscan.tobytes(), float(hbar), count, n_grid, half_width)
+    if key in _EIGEN_CACHE:
+        return replace(_EIGEN_CACHE[key], name=name)
 
     if half_width is None:
         # bootstrap the box from coarse solves: L = 6 turning radii
-        scan = np.linspace(-30, 30, 4001)
-        vscan = potential(scan)
         half_width = 6.0 * max(1.0, np.sqrt(2.0 * hbar * (count + 1)))
         for _ in range(5):
             basis = _solve_on_box(potential, hbar, count,
@@ -161,8 +149,7 @@ def solve_eigenstates(system_or_potential, hbar: float, count: int,
         raise OracleError(
             f"eigenstates reach the box edge (amp {edge:.2e}); "
             "enlarge half_width or reduce count")
-    if name:
-        _EIGEN_CACHE[key] = basis
+    _EIGEN_CACHE[key] = basis
     return basis
 
 
@@ -226,25 +213,6 @@ def momentum_matrix(basis: EigenBasis, power: int = 1):
     return 0.5 * (m + m.conj().T)  # hermitise spectral roundoff
 
 
-def weyl_ordered_matrix(basis: EigenBasis, poly: dict):
-    """Weyl (symmetric) quantization of sum c[(a,b)] p^a q^b:
-
-        (1/2^a) sum_k C(a,k) p^k q^b p^(a-k)
-    """
-    n = basis.count
-    p1 = momentum_matrix(basis, 1)
-    out = np.zeros((n, n), dtype=complex)
-    for (a, b), c in poly.items():
-        qb = position_matrix(basis, lambda q: q ** b if b else np.ones_like(q))
-        term = np.zeros_like(out)
-        for k in range(a + 1):
-            term += (math.comb(a, k)
-                     * np.linalg.matrix_power(p1, k) @ qb
-                     @ np.linalg.matrix_power(p1, a - k))
-        out += c * term / 2.0**a
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Weyl / Wigner transforms
 # ---------------------------------------------------------------------------
@@ -256,13 +224,6 @@ class DensityGrid:
     qs: np.ndarray
     rho: np.ndarray
     hbar: float
-
-    def validate(self, atol: float = 1e-8):
-        if not np.allclose(self.rho, self.rho.T.conj(), atol=atol):
-            raise OracleError("density matrix is not hermitian")
-        evals = np.linalg.eigvalsh(self.rho)
-        if np.min(evals) < -atol * max(1.0, np.max(np.abs(evals))):
-            raise OracleError("density matrix is not positive semidefinite")
 
     @property
     def dq(self) -> float:
@@ -668,15 +629,3 @@ def energy_variance(rho: np.ndarray, energies) -> float:
 def purity(rho: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
-
-def save_checkpoint(path, rho: np.ndarray, header: dict):
-    """Binary arrays with a JSON header, as a single .npz file."""
-    np.savez(path, header=np.frombuffer(
-        json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-        rho_real=np.real(rho), rho_imag=np.imag(rho))
-
-
-def load_checkpoint(path):
-    data = np.load(path)
-    header = json.loads(bytes(data["header"]).decode())
-    return data["rho_real"] + 1j * data["rho_imag"], header

@@ -173,25 +173,16 @@ def density_matrix_sc(q_plus: float, q_minus: float, shell: ShellSpec,
                                 terms=tuple(terms), flagged=flagged)
 
 
-_SWAP_CACHE: dict = {}
-
-
 def swapped_system(system: HamiltonianSystem) -> HamiltonianSystem:
     """The (p <-> q)-exchanged Hamiltonian (antisymplectic mirror)."""
-    key = id(system)
-    hit = _SWAP_CACHE.get(key)
-    if hit is not None and hit[0] is system:
-        return hit[1]
     sw_grad = None
     if system.grad is not None:
         sw_grad = lambda x: np.asarray(
             system.grad(np.asarray(x)[..., ::-1]))[..., ::-1]
-    sw = HamiltonianSystem(
+    return HamiltonianSystem(
         name=system.name + "-pqswap",
         value=lambda x: system.value(np.asarray(x)[..., ::-1]),
         grad=sw_grad, fd_step=system.fd_step)
-    _SWAP_CACHE[key] = (system, sw)
-    return sw
 
 
 def momentum_rep_element(p_plus: float, p_minus: float, shell: ShellSpec,

@@ -13,11 +13,11 @@ from typing import List, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .flow import (
     HamiltonianSystem,
     ShellError,
+    _closed_orbit,
     periodic_orbit,
     shell_start,
     skew,
@@ -146,9 +146,6 @@ class Chord:
         return self.x_plus - self.x_minus
 
 
-_SHELL_CACHE: dict = {}
-
-
 def build_shell(system: HamiltonianSystem, energy: float,
                 n_samples: int = 2048, x0=None) -> ShellSpec:
     """Sample the closed orbit H = energy and wrap it in spline accessors.
@@ -157,19 +154,13 @@ def build_shell(system: HamiltonianSystem, energy: float,
     the cumulative action F is computed spectrally from p dq/dtheta, so
     chord actions are accurate to the spline interpolation error.
     """
-    key = (system.name, round(float(energy), 12), n_samples)
-    custom_start = x0 is not None
-    hit = _SHELL_CACHE.get(key)
-    if hit is not None and hit.system is system and not custom_start:
-        return hit
-
     if x0 is None:
         x0 = shell_start(system, energy)
     period, pts = periodic_orbit(system, x0, n=n_samples)
     closure = float(np.linalg.norm(
         pts[0] - pts[-1]))  # coarse: one sample interval apart by design
 
-    # project the symplectic-integrator wobble off the shell
+    # project the integrator's residual energy error off the shell
     for _ in range(3):
         g = system.gradient(pts)
         resid = system.energy(pts) - energy
@@ -204,8 +195,6 @@ def build_shell(system: HamiltonianSystem, energy: float,
         _psp=psp, _qsp=qsp, _fsp=fsp, _fmean=fmean,
         speed_scale=float(np.max(speed2)),
     )
-    if not custom_start:
-        _SHELL_CACHE[key] = shell
     return shell
 
 
@@ -243,8 +232,6 @@ def find_chords(shell: ShellSpec, x, n_scan: int = 64,
         th = shell.theta_of_point(x)
         ch = _make_chord(shell, th, th, caustic_tol, degenerate=True)
         ch.caustic = True
-        if hbar is not None and not ch.caustic:
-            ch.amplitude = chord_amplitude(ch, hbar)
         return [ch]
 
     if not shell.contains(x):
@@ -333,53 +320,42 @@ def caustic_indicator(shell: ShellSpec, x) -> float:
     return min(abs(c.wedge) for c in chords)
 
 
-_QUANT_CACHE: dict = {}
+def quantize_energy(system: HamiltonianSystem, n_level: int,
+                    hbar: float) -> float:
+    """Energy of quantum level n from the area rule oint p dq = 2 pi hbar (n + 1/2).
 
-
-def _coarse_area(system: HamiltonianSystem, energy: float) -> float:
-    """oint p dq by periodic trapezoid on a coarse orbit (root-finder use)."""
-    x0 = shell_start(system, energy)
-    period, pts = periodic_orbit(system, x0, n=256, dt_cap=2e-3)
-    qdot = system.velocity(pts)[:, 1]
-    return float(np.mean(pts[:, 0] * qdot) * period)
-
-
-def quantize_energy(system: HamiltonianSystem, n_level: int, hbar: float,
-                    e_bounds=None) -> float:
-    """Energy of quantum level n from the area rule oint p dq = 2 pi hbar (n + 1/2)."""
-    key = (system.name, n_level, float(hbar))
-    if key in _QUANT_CACHE and _QUANT_CACHE[key][0] is system:
-        return _QUANT_CACHE[key][1]
+    Safeguarded Newton on A(E) - target with dA/dE = T(E), the
+    action-angle identity; one closed-orbit integration gives both.  The
+    bracket keeps A(lo) < target and, at hi, A > target or no closed
+    orbit; a Newton step that leaves it is replaced by bisection.  The
+    well bottom is taken at the origin, where A = 0.  A bracket that
+    shrinks onto an energy with no root (a separatrix: the level does
+    not fit in the well) raises ShellError.
+    """
     target = TWO_PI * hbar * (n_level + 0.5)
-    if e_bounds is None:
-        e0 = float(system.energy(np.zeros(2)))
-        # walk the lower bracket down toward the well bottom (up if the
-        # orbit there is too slow to close within the period search window)
-        lo, e_try = None, e0 + max(hbar, 1e-3)
-        for _ in range(60):
-            try:
-                below = _coarse_area(system, e_try) < target
-            except ShellError:
-                e_try = e0 + 2.0 * (e_try - e0)
-                continue
-            if below:
-                lo = e_try
-                break
-            e_try = e0 + 0.25 * (e_try - e0)
-        if lo is None:
-            raise ShellError("could not bracket the quantization area target")
-        hi = e0 + 2.0 * (lo - e0)
-        for _ in range(60):
-            try:
-                if _coarse_area(system, hi) > target:
-                    break
-            except ShellError as err:
-                raise ShellError(
-                    f"no closed orbit at E={hi}: quantized level {n_level} "
-                    "does not fit in the well") from err
-            hi = e0 + 2.0 * (hi - e0)
-        e_bounds = (lo, hi)
-    e = brentq(lambda en: _coarse_area(system, en) - target,
-               *e_bounds, xtol=1e-10)
-    _QUANT_CACHE[key] = (system, float(e))
-    return float(e)
+    lo, hi = float(system.energy(np.zeros(2))), np.inf
+    e = lo + target / TWO_PI  # exact for the unit-frequency oscillator
+    for _ in range(100):
+        tol = 1e-10 * (1.0 + abs(e))
+        try:
+            period, _, area = _closed_orbit(system, shell_start(system, e))
+        except ShellError:
+            hi, step = e, None
+        else:
+            step = (target - area) / period
+            if abs(step) <= tol:
+                return e + step
+            if area < target:
+                lo = e
+            else:
+                hi = e
+        if hi - lo <= 0.1 * tol:
+            raise ShellError(
+                f"no closed orbit encloses area {target:.6g} (level "
+                f"{n_level}): the bracket shrank onto E = {lo:.12g}, "
+                "a separatrix")
+        if step is not None and lo < e + step < hi:
+            e += step
+        else:
+            e = 0.5 * (lo + hi)
+    raise ShellError(f"quantization of level {n_level} did not converge")

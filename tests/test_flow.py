@@ -1,10 +1,13 @@
 """Symplectic algebra and integrator checks."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ellipk, gamma
+from scipy.special import ellipe, ellipk, gamma
 
 from chordwigner import (
+    HamiltonianSystem,
     ShellError,
     find_period,
     hamiltonian_flow,
@@ -18,6 +21,7 @@ from chordwigner import (
     skew,
     triangle_area,
 )
+from chordwigner.flow import _closed_orbit
 
 harmonic = make_system("harmonic")
 quartic = make_system("quartic")
@@ -92,6 +96,13 @@ def test_midpoint_reversibility():
         assert_allclose(back, x0, atol=1e-12)
 
 
+def test_midpoint_step_raises_when_unconverged():
+    # dt = 0.5 at (p, q) = (0, 3) is far beyond the quartic's local
+    # stiffness; the fixed-point iteration diverges instead of converging
+    with pytest.raises(RuntimeError, match="did not converge"):
+        midpoint_step(quartic, np.array([0.0, 3.0]), 0.5)
+
+
 def test_midpoint_symplectic_jacobian():
     # det of the step Jacobian is 1 (finite differences)
     h = 1e-6
@@ -130,6 +141,54 @@ def test_period_pendulum_vs_elliptic():
     expected = 4.0 * ellipk((1 + e) / 2)
     x0 = shell_start(pendulum, e)
     assert_allclose(find_period(pendulum, x0), expected, atol=1e-8)
+
+
+def _family(kind, c):
+    """(system, period(E), area(E)) for p^2/2 + V(q) with coupling c."""
+    def system(v, dv):
+        return HamiltonianSystem(
+            kind, value=lambda x: 0.5 * x[..., 0] ** 2 + v(x[..., 1]),
+            grad=lambda x: np.stack([x[..., 0], dv(x[..., 1])], axis=-1))
+
+    if kind == "oscillator":
+        # V = c^2 q^2 / 2: T = 2 pi / c, A = 2 pi E / c
+        return (system(lambda q: 0.5 * c * c * q * q, lambda q: c * c * q),
+                lambda e: 2 * np.pi / c, lambda e: 2 * np.pi * e / c)
+    if kind == "quartic":
+        # V = c q^4 / 2, turning point (2E/c)^(1/4):
+        # T = (2E c)^(-1/4) sqrt(pi) Gamma(1/4) / Gamma(3/4)
+        # A = (2E/c)^(1/4) sqrt(2E) sqrt(pi) Gamma(1/4) / (2 Gamma(7/4))
+        return (system(lambda q: 0.5 * c * q**4, lambda q: 2 * c * q**3),
+                lambda e: ((2 * e * c) ** -0.25 * np.sqrt(np.pi)
+                           * gamma(0.25) / gamma(0.75)),
+                lambda e: ((2 * e / c) ** 0.25 * np.sqrt(2 * e)
+                           * np.sqrt(np.pi) * gamma(0.25) / (2 * gamma(1.75))))
+    # V = -c cos q, libration with m = (1 + E/c)/2:
+    # T = 4 K(m) / sqrt(c), A = 16 sqrt(c) [E(m) - (1 - m) K(m)]
+    m = lambda e: 0.5 * (1 + e / c)
+    return (system(lambda q: -c * np.cos(q), lambda q: c * np.sin(q)),
+            lambda e: 4 * ellipk(m(e)) / np.sqrt(c),
+            lambda e: 16 * np.sqrt(c) * (ellipe(m(e))
+                                         - (1 - m(e)) * ellipk(m(e))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
+       coupling=st.floats(0.3, 30.0), level=st.floats(0.05, 0.9))
+def test_closed_orbit_period_area_and_action_angle(kind, coupling, level):
+    # pendulum energies span 5%..90% of the well depth 2c, so every orbit
+    # librates
+    system, period_of, area_of = _family(kind, coupling)
+    e = -coupling + 2 * coupling * level if kind == "pendulum" else level
+    period, dense, area = _closed_orbit(system, shell_start(system, e))
+    assert_allclose(period, period_of(e), rtol=1e-9)
+    assert_allclose(area, area_of(e), rtol=1e-9)
+    assert_allclose(dense(period)[:2], dense(0.0)[:2], atol=1e-8)
+    # action-angle identity dA/dE = T, by central differences
+    h = 1e-4 * abs(e - float(system.energy(np.zeros(2))))
+    area_at = lambda en: _closed_orbit(system, shell_start(system, en))[2]
+    assert_allclose((area_at(e + h) - area_at(e - h)) / (2 * h), period,
+                    rtol=1e-6)
 
 
 def test_periodic_orbit_closes():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chordwigner import make_system
+from chordwigner import make_system, polynomial_system
 from chordwigner.oracle import (
     DensityGrid,
     OracleError,
@@ -16,13 +16,11 @@ from chordwigner.oracle import (
     hermite_psi,
     inverse_weyl,
     lindblad_integrate,
-    load_checkpoint,
     momentum_matrix,
     moyal_star,
     poly_eval,
     position_matrix,
     purity,
-    save_checkpoint,
     solve_eigenstates,
     weyl_transform,
     wigner_of_state,
@@ -48,6 +46,16 @@ def test_harmonic_wavefunctions_match_hermite():
     ref = hermite_psi(10, basis.qs, 0.05)
     overlaps = np.abs(ref @ basis.psis.T * basis.dq)
     assert_allclose(np.diag(overlaps), np.ones(11), atol=1e-8)
+
+
+def test_same_named_oscillators_get_their_own_ladders():
+    # both tables default to the name "poly"; each must get hbar w (n + 1/2)
+    hbar = 0.1
+    for omega in (1.0, 2.0):
+        osc = polynomial_system({(2, 0): 0.5, (0, 2): 0.5 * omega**2})
+        basis = solve_eigenstates(osc, hbar=hbar, count=8)
+        assert_allclose(basis.energies, hbar * omega * (np.arange(8) + 0.5),
+                        rtol=1e-8)
 
 
 def test_quartic_spectrum_monotone_and_residual():
@@ -303,12 +311,3 @@ def test_energy_variance_basics():
     rho2 = np.diag([0.5, 0.0, 0.5]).astype(complex)
     assert_allclose(energy_variance(rho2, energies), 0.6**2 / 4, atol=1e-14)
 
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    rho = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    path = tmp_path / "state.npz"
-    save_checkpoint(path, rho, {"hbar": 0.05, "basis": 6})
-    back, header = load_checkpoint(path)
-    assert_allclose(back, rho, atol=0)
-    assert header == {"hbar": 0.05, "basis": 6}

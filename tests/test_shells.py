@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 from scipy.special import ellipe, ellipk
 
 from chordwigner import (
+    ShellError,
     build_shell,
     angle_jacobian,
     caustic_indicator,
@@ -28,15 +30,11 @@ def test_build_shell_circle_geometry():
     assert_allclose(shell.period, 2 * np.pi, atol=1e-8)
     assert_allclose(shell.area, 2 * np.pi * 0.5, atol=1e-8)
     # starts at (p, q) = (1, 0) and rotates p -> -q; sample placement
-    # carries the integrator's O(dt^2) phase drift, well under 1e-6
+    # carries the adaptive integrator's phase error, well under 1e-6
     th = np.linspace(0, 2 * np.pi, 97)
     assert_allclose(shell.point(th),
                     np.stack([np.cos(th), np.sin(th)], axis=-1), atol=5e-7)
     assert np.max(np.abs(harmonic.energy(shell.points) - 0.5)) < 1e-12
-
-
-def test_build_shell_is_cached():
-    assert build_shell(harmonic, 0.5) is build_shell(harmonic, 0.5)
 
 
 def test_action_integral_circle():
@@ -163,3 +161,22 @@ def test_quantize_energy_quartic_self_consistent():
     e3 = quantize_energy(quartic, 3, hbar)
     shell = build_shell(quartic, e3)
     assert_allclose(shell.area, 2 * np.pi * hbar * 3.5, atol=2e-6)
+
+
+def _pendulum_area(e):
+    m = (1 + e) / 2
+    return 16 * (ellipe(m) - (1 - m) * ellipk(m))
+
+
+def test_quantize_energy_pendulum_near_separatrix():
+    # at hbar = 0.5 level 4 needs area 14.14 of the 16 inside the separatrix
+    target = 2 * np.pi * 0.5 * 4.5
+    expected = brentq(lambda e: _pendulum_area(e) - target, -0.99, 0.999999,
+                      xtol=1e-14)
+    assert_allclose(quantize_energy(pendulum, 4, 0.5), expected, atol=1e-10)
+
+
+def test_quantize_energy_raises_beyond_separatrix():
+    # level 5 needs area 17.28, but the separatrix encloses only 16
+    with pytest.raises(ShellError, match="separatrix"):
+        quantize_energy(pendulum, 5, 0.5)
