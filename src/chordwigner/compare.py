@@ -29,8 +29,8 @@ from .oracle import (
     wigner_of_state,
 )
 from .projection import density_matrix_sc, wkb_branches
-from .shells import Chord, build_shell, find_chords, quantize_energy
-from .wigner import SemiclassicalState, eval_state
+from .shells import Chord, _search_chords, build_shell, quantize_energy
+from .wigner import SemiclassicalState, _contribution
 
 
 @dataclass
@@ -115,28 +115,24 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
 
     r = np.sqrt(2.0 * energy)
     wedge_floor = caustic_fraction * shell.speed_scale
+    cells = [(s, k) for s in range(0, len(wg.q_centres), 24)
+             for k in range(0, len(wg.ps), 16)
+             if 0.15 * r <= np.hypot(wg.ps[k], wg.q_centres[s]) <= 0.82 * r]
+    xs = np.array([[wg.ps[k], wg.q_centres[s]] for s, k in cells],
+                  dtype=float).reshape(-1, 2)
     zs: List[complex] = []
     refs: List[float] = []
-    pts: List[List[float]] = []
-    for s in range(0, len(wg.q_centres), 24):
-        q = float(wg.q_centres[s])
-        if abs(q) > 0.82 * r:
+    for (s, k), chords in zip(cells, _search_chords(
+            shell, xs, caustic_tol=state.caustic_tol)[0]):
+        if not chords or any(c.caustic for c in chords):
             continue
-        for k in range(0, len(wg.ps), 16):
-            p = float(wg.ps[k])
-            if np.hypot(p, q) > 0.82 * r or np.hypot(p, q) < 0.15 * r:
-                continue
-            chords = find_chords(shell, (p, q))
-            if not chords or any(c.caustic for c in chords):
-                continue
-            if min(abs(c.wedge) for c in chords) < wedge_floor:
-                continue
-            sample = eval_state((p, q), state)
-            z = sum(c.amplitude * c.window * np.exp(1j * c.phase)
-                    for c in sample.contributions)
-            zs.append(complex(z))
-            refs.append(float(wg.w[s, k]))
-            pts.append([p, q])
+        if min(abs(c.wedge) for c in chords) < wedge_floor:
+            continue
+        contribs = [_contribution(state, c) for c in chords]
+        z = sum(c.amplitude * c.window * np.exp(1j * c.phase)
+                for c in contribs)
+        zs.append(complex(z))
+        refs.append(float(wg.w[s, k]))
     z_arr = np.asarray(zs)
     ref = np.asarray(refs)
     phis = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)

@@ -18,7 +18,6 @@ from .flow import (
     HamiltonianSystem,
     ShellError,
     _closed_orbit,
-    periodic_orbit,
     shell_start,
     skew,
 )
@@ -35,6 +34,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# Points per block of the batched chord search.  It bounds the working
+# arrays: the even-odd test holds block x n_samples values, the seed
+# scan block x n_scan^2.
+_BLOCK = 16
 
 
 @dataclass
@@ -111,15 +114,19 @@ class ShellSpec:
             th -= float(np.dot(r, v) / np.dot(v, v))
         return th % TWO_PI
 
-    def contains(self, x) -> bool:
-        """Even-odd ray test of x against the sampled shell polygon."""
-        x = np.asarray(x, dtype=float)
+    def contains(self, x):
+        """Even-odd ray test of x against the sampled shell polygon.
+
+        x may be a stack (..., 2); a single point gives a bool.
+        """
+        x = np.asarray(x, dtype=float)[..., None, :]
         p0, p1 = self.points, np.roll(self.points, -1, axis=0)
-        y0, y1 = p0[:, 0] - x[0], p1[:, 0] - x[0]
+        y0, y1 = p0[:, 0] - x[..., 0], p1[:, 0] - x[..., 0]
         crosses = (y0 > 0) != (y1 > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             q_at = p0[:, 1] + y0 / (y0 - y1) * (p1[:, 1] - p0[:, 1])
-        return bool(np.sum(crosses & (q_at > x[1])) % 2)
+        inside = np.sum(crosses & (q_at > x[..., 1]), axis=-1) % 2 == 1
+        return inside if inside.ndim else bool(inside)
 
 
 @dataclass
@@ -156,9 +163,9 @@ def build_shell(system: HamiltonianSystem, energy: float,
     """
     if x0 is None:
         x0 = shell_start(system, energy)
-    period, pts = periodic_orbit(system, x0, n=n_samples)
-    closure = float(np.linalg.norm(
-        pts[0] - pts[-1]))  # coarse: one sample interval apart by design
+    period, orbit, _ = _closed_orbit(system, x0)
+    pts = orbit(period * np.arange(n_samples) / n_samples)[:2].T
+    closure = float(np.linalg.norm(orbit(period)[:2] - x0))
 
     # project the integrator's residual energy error off the shell
     for _ in range(3):
@@ -198,19 +205,108 @@ def build_shell(system: HamiltonianSystem, energy: float,
     return shell
 
 
-def _make_chord(shell: ShellSpec, tm: float, tp: float,
-                caustic_tol: float, degenerate: bool = False) -> Chord:
-    tm, tp = tm % TWO_PI, tp % TWO_PI
-    w = float(shell.wedge(tm, tp))
-    return Chord(
-        x_plus=shell.point(tp), x_minus=shell.point(tm),
-        theta_plus=tp, theta_minus=tm,
-        action=float(shell.chord_action(tm, tp)),
-        wedge=w,
-        tau=float(shell.traversal_time(tm, tp)),
-        caustic=bool(abs(w) < caustic_tol * shell.speed_scale),
-        degenerate=degenerate,
-    )
+def _lstsq(a, b):
+    """Minimum-norm least squares of stacked systems a x = b, with the
+    singular-value cutoff of numpy.linalg.lstsq(rcond=None)."""
+    u, s, vt = np.linalg.svd(a)
+    c = np.einsum("kji,kj->ki", u, b)
+    keep = s > np.finfo(float).eps * max(a.shape[-2:]) * s[:, :1]
+    c = np.divide(c, s, out=np.zeros_like(c), where=keep)
+    return np.einsum("kji,kj->ki", vt, c)
+
+
+def _newton_tips(shell: ShellSpec, x, tm, tp, hcell: float):
+    """Damped Newton on midpoint(tm, tp) = x over stacked seeds: updates
+    tm, tp in place and returns the mask of converged seeds."""
+    tol = 1e-10 * np.sqrt(shell.speed_scale)
+    ok = np.zeros(len(x), dtype=bool)
+    act = np.arange(len(x))
+    for _ in range(40):
+        r = 0.5 * (shell.point(tm[act]) + shell.point(tp[act])) - x[act]
+        conv = np.linalg.norm(r, axis=-1) < tol
+        ok[act[conv]] = True
+        act, r = act[~conv], r[~conv]
+        if not act.size:
+            break
+        jac = 0.5 * np.stack([shell.velocity_theta(tm[act]),
+                              shell.velocity_theta(tp[act])], axis=-1)
+        step = np.clip(_lstsq(jac, -r), -2 * hcell, 2 * hcell)
+        tm[act] += step[:, 0]
+        tp[act] += step[:, 1]
+    return ok
+
+
+def _search_chords(shell: ShellSpec, xs, n_scan: int = 64,
+                   caustic_tol: float = 1e-3):
+    """(chords, dropped) for the points xs (n, 2): chords[k] is what
+    find_chords gives for xs[k], dropped[k] counts its Newton seeds that
+    did not converge.  The on-shell and inside tests run over all points,
+    the seed scan, Newton and chord fields over blocks of _BLOCK."""
+    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
+    n = len(xs)
+    on = np.abs(shell.system.energy(xs) - shell.energy) < 1e-10 * (
+        1.0 + abs(shell.energy))
+    live = on.copy()
+    for b in range(0, n, _BLOCK):
+        live[b:b + _BLOCK] |= shell.contains(xs[b:b + _BLOCK])
+
+    stride = max(1, shell.n_samples // n_scan)
+    sub, thg = shell.points[::stride], shell.theta[::stride]
+    hcell = TWO_PI / len(thg)
+    mid = 0.5 * (sub[:, None, :] + sub[None, :, :])
+
+    chords: List[List[Chord]] = [[] for _ in range(n)]
+    dropped = np.zeros(n, dtype=int)
+    idx = np.flatnonzero(live)
+    for b in range(0, len(idx), _BLOCK):
+        blk = idx[b:b + _BLOCK]
+        xb = xs[blk]
+        # periodic local minima of each inside point's midpoint-distance
+        # landscape seed the Newton; an on-shell point gets no seeds
+        d2 = np.sum((mid - xb[:, None, None, :]) ** 2, axis=-1)
+        mins = np.broadcast_to(~on[blk, None, None], d2.shape)
+        for shift, axis in ((1, 1), (-1, 1), (1, 2), (-1, 2)):
+            mins = mins & (d2 <= np.roll(d2, shift, axis=axis))
+        owner, i, j = np.nonzero(mins)
+        # jitter splits degenerate diagonal seeds into tip pairs
+        tm, tp = thg[i] - 0.25 * hcell, thg[j] + 0.25 * hcell
+        ok = _newton_tips(shell, xb[owner], tm, tp, hcell)
+        dropped[blk] += np.bincount(owner[~ok], minlength=len(blk))
+        owner, tm, tp = owner[ok], tm[ok], tp[ok]
+
+        swap = (tp - tm) % TWO_PI > np.pi  # canonical: forward arc is short
+        tm, tp = np.where(swap, [tp, tm], [tm, tp]) % TWO_PI
+        # dedup in seed order: a seed goes if an earlier kept one matches
+        kept = [[] for _ in blk]
+        keep = np.zeros(len(owner), dtype=bool)
+        for s, (o, a, c) in enumerate(zip(owner, tm.tolist(), tp.tolist())):
+            keep[s] = all(abs((a - ka + np.pi) % TWO_PI - np.pi) >= 1e-6
+                          or abs((c - kc + np.pi) % TWO_PI - np.pi) >= 1e-6
+                          for ka, kc in kept[o])
+            if keep[s]:
+                kept[o].append((a, c))
+
+        # a point on the shell owns a single zero-length chord
+        on_b = np.flatnonzero(on[blk])
+        th_on = np.array([shell.theta_of_point(x) for x in xb[on_b]])
+        owner = np.concatenate([owner[keep], on_b])
+        tm = np.concatenate([tm[keep], th_on]) % TWO_PI
+        tp = np.concatenate([tp[keep], th_on]) % TWO_PI
+        degenerate = np.arange(len(owner)) >= keep.sum()
+
+        w = shell.wedge(tm, tp)
+        action = shell.chord_action(tm, tp)
+        tau = shell.traversal_time(tm, tp)
+        xp, xm = shell.point(tp), shell.point(tm)
+        caustic = degenerate | (np.abs(w) < caustic_tol * shell.speed_scale)
+        for k in np.lexsort(((tp - tm) % TWO_PI, owner)):
+            chords[blk[owner[k]]].append(Chord(
+                x_plus=xp[k], x_minus=xm[k],
+                theta_plus=float(tp[k]), theta_minus=float(tm[k]),
+                action=float(action[k]), wedge=float(w[k]),
+                tau=float(tau[k]), caustic=bool(caustic[k]),
+                degenerate=bool(degenerate[k])))
+    return chords, dropped
 
 
 def find_chords(shell: ShellSpec, x, n_scan: int = 64,
@@ -224,64 +320,8 @@ def find_chords(shell: ShellSpec, x, n_scan: int = 64,
     chords; a point on the shell owns a single zero-length chord, flagged
     as caustic.
     """
-    x = np.asarray(x, dtype=float)
-    scale = np.sqrt(shell.speed_scale)
-
-    if abs(float(shell.system.energy(x)) - shell.energy) < 1e-10 * (
-            1.0 + abs(shell.energy)):
-        th = shell.theta_of_point(x)
-        ch = _make_chord(shell, th, th, caustic_tol, degenerate=True)
-        ch.caustic = True
-        return [ch]
-
-    if not shell.contains(x):
-        return []
-
-    stride = max(1, shell.n_samples // n_scan)
-    sub = shell.points[::stride]
-    thg = shell.theta[::stride]
-    m = len(thg)
-    mid = 0.5 * (sub[:, None, :] + sub[None, :, :])
-    d2 = np.sum((mid - x) ** 2, axis=-1)
-
-    # periodic local minima of the midpoint-distance landscape
-    mins = np.ones_like(d2, dtype=bool)
-    for shift, axis in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
-        mins &= d2 <= np.roll(d2, shift, axis=axis)
-    seeds = np.argwhere(mins)
-
-    hcell = TWO_PI / m
-    found: List[Chord] = []
-    for i, j in seeds:
-        # jitter splits degenerate diagonal seeds into tip pairs
-        tm, tp = thg[i] - 0.25 * hcell, thg[j] + 0.25 * hcell
-        ok = False
-        for _ in range(40):
-            r = 0.5 * (shell.point(tm) + shell.point(tp)) - x
-            if np.linalg.norm(r) < 1e-10 * scale:
-                ok = True
-                break
-            jac = 0.5 * np.stack(
-                [shell.velocity_theta(tm), shell.velocity_theta(tp)], axis=1)
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            step = np.clip(step, -2 * hcell, 2 * hcell)
-            tm, tp = tm + step[0], tp + step[1]
-        if not ok:
-            continue
-        if (tp - tm) % TWO_PI > np.pi:  # canonical: forward arc is short
-            tm, tp = tp, tm
-        tm, tp = tm % TWO_PI, tp % TWO_PI
-        dup = False
-        for c in found:
-            dm = abs((tm - c.theta_minus + np.pi) % TWO_PI - np.pi)
-            dp = abs((tp - c.theta_plus + np.pi) % TWO_PI - np.pi)
-            if dm < 1e-6 and dp < 1e-6:
-                dup = True
-                break
-        if not dup:
-            found.append(_make_chord(shell, tm, tp, caustic_tol))
-
-    found.sort(key=lambda c: (c.theta_plus - c.theta_minus) % TWO_PI)
+    found = _search_chords(shell, np.asarray(x, dtype=float)[None],
+                           n_scan, caustic_tol)[0][0]
     if hbar is not None:
         for c in found:
             if not c.caustic:

@@ -17,9 +17,9 @@ from .flow import HamiltonianSystem, J
 from .shells import (
     Chord,
     ShellSpec,
+    _search_chords,
     build_shell,
     chord_amplitude,
-    find_chords,
     quantize_energy,
 )
 
@@ -46,6 +46,7 @@ class WignerSample:
     value: float
     contributions: Tuple[ChordContribution, ...]
     caustic_flag: bool
+    dropped_seeds: int = 0   # chord-search seeds left unconverged
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,15 @@ def _contribution(state: SemiclassicalState, chord: Chord) -> ChordContribution:
                              tau=tau, caustic=False)
 
 
+def _sample(state: SemiclassicalState, x, chords, dropped) -> WignerSample:
+    contribs = tuple(_contribution(state, c) for c in chords)
+    regular = [c.value for c in contribs if not c.caustic]
+    return WignerSample(x=x, value=float(sum(regular)),
+                        contributions=contribs,
+                        caustic_flag=any(c.caustic for c in contribs),
+                        dropped_seeds=int(dropped))
+
+
 def eval_state(x, state: SemiclassicalState) -> WignerSample:
     """Chord-sum Wigner value at a phase-space point.
 
@@ -141,12 +151,9 @@ def eval_state(x, state: SemiclassicalState) -> WignerSample:
     contributions.
     """
     x = np.asarray(x, dtype=float)
-    chords = find_chords(state.shell, x, caustic_tol=state.caustic_tol)
-    contribs = tuple(_contribution(state, c) for c in chords)
-    regular = [c.value for c in contribs if not c.caustic]
-    return WignerSample(x=x, value=float(sum(regular)),
-                        contributions=contribs,
-                        caustic_flag=any(c.caustic for c in contribs))
+    chords, dropped = _search_chords(state.shell, x[None],
+                                     caustic_tol=state.caustic_tol)
+    return _sample(state, x, chords[0], dropped[0])
 
 
 def eval_pure(x, state: SemiclassicalState) -> WignerSample:
@@ -177,7 +184,8 @@ def mix_states(weights: Sequence[float],
             contribs.append(replace(c, amplitude=amp))
     value = float(sum(w * s.value for w, s in zip(weights, samples)))
     return WignerSample(x=x0, value=value, contributions=tuple(contribs),
-                        caustic_flag=any(s.caustic_flag for s in samples))
+                        caustic_flag=any(s.caustic_flag for s in samples),
+                        dropped_seeds=sum(s.dropped_seeds for s in samples))
 
 
 @dataclass
@@ -187,6 +195,7 @@ class WignerGridResult:
     values: np.ndarray        # (len(qs), len(ps))
     n_chords: np.ndarray
     caustic: np.ndarray
+    dropped_seeds: np.ndarray  # unconverged chord-search seeds per point
     state: SemiclassicalState
 
     def write_csv(self, path) -> None:
@@ -223,17 +232,20 @@ class WignerGridResult:
 
 
 def eval_grid(state: SemiclassicalState, ps, qs) -> WignerGridResult:
-    """Evaluate the chord sum over a rectangular (p, q) grid."""
+    """Evaluate the chord sum over a rectangular (p, q) grid.
+
+    One batched chord search covers every grid point.
+    """
     ps = np.asarray(ps, dtype=float)
     qs = np.asarray(qs, dtype=float)
-    values = np.zeros((len(qs), len(ps)))
-    n_chords = np.zeros_like(values, dtype=int)
-    caustic = np.zeros_like(values, dtype=bool)
-    for i, q in enumerate(qs):
-        for k, p in enumerate(ps):
-            sample = eval_state((p, q), state)
-            values[i, k] = sample.value
-            n_chords[i, k] = len(sample.contributions)
-            caustic[i, k] = sample.caustic_flag
-    return WignerGridResult(ps=ps, qs=qs, values=values, n_chords=n_chords,
-                            caustic=caustic, state=state)
+    xs = np.stack(np.meshgrid(ps, qs), axis=-1).reshape(-1, 2)
+    chords, dropped = _search_chords(state.shell, xs,
+                                     caustic_tol=state.caustic_tol)
+    shape = (len(qs), len(ps))
+    samples = (_sample(state, x, c, d) for x, c, d in zip(xs, chords, dropped))
+    cols = np.array([(s.value, len(s.contributions), s.caustic_flag)
+                     for s in samples], dtype=float).reshape(shape + (3,))
+    return WignerGridResult(ps=ps, qs=qs, values=cols[..., 0],
+                            n_chords=cols[..., 1].astype(int),
+                            caustic=cols[..., 2].astype(bool),
+                            dropped_seeds=dropped.reshape(shape), state=state)

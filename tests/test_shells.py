@@ -1,11 +1,14 @@
 """Shell construction and chord geometry against closed circle forms."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.special import ellipe, ellipk
 
 from chordwigner import (
+    HamiltonianSystem,
     ShellError,
     build_shell,
     angle_jacobian,
@@ -15,6 +18,7 @@ from chordwigner import (
     make_system,
     quantize_energy,
 )
+from chordwigner.shells import _search_chords
 
 harmonic = make_system("harmonic")
 quartic = make_system("quartic")
@@ -35,6 +39,12 @@ def test_build_shell_circle_geometry():
     assert_allclose(shell.point(th),
                     np.stack([np.cos(th), np.sin(th)], axis=-1), atol=5e-7)
     assert np.max(np.abs(harmonic.energy(shell.points) - 0.5)) < 1e-12
+
+
+def test_closure_error_is_orbit_closure():
+    # |x(T) - x0| of the adaptive orbit, not the spacing of two samples
+    for system, e in ((harmonic, 0.5), (quartic, 0.5), (pendulum, -0.4)):
+        assert build_shell(system, e).closure_error < 1e-9
 
 
 def test_action_integral_circle():
@@ -127,6 +137,42 @@ def test_chords_canonical_and_centred():
             dth = (c.theta_plus - c.theta_minus) % (2 * np.pi)
             assert 0.0 <= dth <= np.pi + 1e-12
             assert_allclose(c.centre, x, atol=1e-8)
+
+
+def _coupled(kind, c):
+    """p^2/2 + V(q): V = c^2 q^2 / 2, c q^4 / 2 or -c cos q."""
+    v, dv = {"oscillator": (lambda q: 0.5 * c * c * q * q, lambda q: c * c * q),
+             "quartic": (lambda q: 0.5 * c * q**4, lambda q: 2 * c * q**3),
+             "pendulum": (lambda q: -c * np.cos(q),
+                          lambda q: c * np.sin(q))}[kind]
+    return HamiltonianSystem(
+        kind, value=lambda x: 0.5 * x[..., 0] ** 2 + v(x[..., 1]),
+        grad=lambda x: np.stack([x[..., 0], dv(x[..., 1])], axis=-1))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
+       coupling=st.floats(0.3, 30.0), level=st.floats(0.05, 0.9),
+       polar=st.lists(st.tuples(st.floats(0.0, 2 * np.pi),
+                                st.floats(0.02, 0.98)),
+                      min_size=20, max_size=20))
+def test_batched_search_matches_pointwise(kind, coupling, level, polar):
+    # V grows with |q|, so scaling a shell point towards the origin by
+    # rho < 1 lands strictly inside; 20 points span two search blocks
+    system = _coupled(kind, coupling)
+    e = -coupling + 2 * coupling * level if kind == "pendulum" else level
+    shell = build_shell(system, e)
+    xs = np.array([rho * shell.point(th) for th, rho in polar])
+    batched, _ = _search_chords(shell, xs)
+    for x, chords in zip(xs, batched):
+        single = find_chords(shell, x)
+        assert len(chords) == len(single)
+        assert_allclose([c.action for c in chords],
+                        [c.action for c in single], rtol=0, atol=1e-12)
+        for c in chords:
+            assert_allclose(c.centre, x, atol=1e-8)
+            dth = (c.theta_plus - c.theta_minus) % (2 * np.pi)
+            assert 0.0 <= dth <= np.pi + 1e-12
 
 
 def test_angle_jacobian_vs_finite_differences():

@@ -49,6 +49,37 @@ def test_momentum_parity_even_hamiltonian():
             assert_allclose(a, b, atol=1e-6 * max(1.0, abs(a)))
 
 
+@pytest.mark.parametrize("system, epsilon", [(harmonic, 0.0),
+                                             (quartic, 0.05)])
+def test_eval_grid_matches_pointwise_loop(system, epsilon):
+    # the 9x9 grid holds outside corners and the centre, where both
+    # shells are point-symmetric: every chord is a caustic diameter
+    state = spectral_state(system, 0.5, epsilon, 0.05)
+    ps = np.linspace(-1.2, 1.2, 9)
+    qs = np.linspace(-1.0, 1.0, 9)
+    grid = eval_grid(state, ps, qs)
+    for i, q in enumerate(qs):
+        for k, p in enumerate(ps):
+            s = eval_state((p, q), state)
+            assert grid.values[i, k] == s.value
+            assert grid.n_chords[i, k] == len(s.contributions)
+            assert grid.caustic[i, k] == s.caustic_flag
+            assert grid.dropped_seeds[i, k] == s.dropped_seeds
+    assert grid.caustic[4, 4]
+
+
+def test_dropped_seeds_counted():
+    st = pure_state(quartic, hbar=0.05, energy=0.5)
+    ps, qs = np.linspace(-1.1, 1.1, 21), np.linspace(-0.95, 0.95, 21)
+    grid = eval_grid(st, ps, qs)
+    outside = ~st.shell.contains(np.stack(np.meshgrid(ps, qs), axis=-1))
+    assert outside.any() and grid.dropped_seeds.sum() > 0
+    assert not grid.dropped_seeds[outside].any()
+    # every seed of this circle point converges
+    circle = pure_state(harmonic, hbar=0.05, energy=0.5)
+    assert eval_state((0.0, 0.5), circle).dropped_seeds == 0
+
+
 def test_pure_state_level_selection():
     st = pure_state(harmonic, hbar=1.0, n=10)
     assert_allclose(st.shell.energy, 10.5, atol=1e-5)
