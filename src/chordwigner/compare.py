@@ -79,8 +79,7 @@ def check_cat_rate(hbar: float = 0.05, separation: float = 2.0,
     state = TruncatedState(rho=np.outer(g, g).astype(complex),
                            energies=np.zeros(len(qs)), hbar=hbar)
     times = np.linspace(0.0, 0.04, 9)
-    states, _ = lindblad_integrate(state, None, [np.diag(qs)], times,
-                                   dt=5e-4)
+    states, _ = lindblad_integrate(state, None, [np.diag(qs)], times)
     i_p = int(np.argmin(np.abs(qs - a)))
     i_m = int(np.argmin(np.abs(qs + a)))
     coh = np.array([abs(s.rho[i_p, i_m]) for s in states])
@@ -216,7 +215,7 @@ def check_diffusion_slope(hbar: float = 0.05, energy: float = 0.5,
     rho0 = np.diag(weights / weights.sum()).astype(complex)
     state = TruncatedState(rho=rho0, energies=energies, hbar=hbar)
     times = np.linspace(0.0, t_final, 9)
-    states, _ = lindblad_integrate(state, energies, [q_mat], times, dt=1e-3)
+    states, _ = lindblad_integrate(state, energies, [q_mat], times)
     var = np.array([energy_variance(s.rho, energies) for s in states])
     slope = float(np.polyfit(times, var, 1)[0])
     delta = abs(slope - predicted) / predicted
@@ -248,7 +247,7 @@ def check_purity_decay(hbar: float = 0.05, tolerance: float = 0.10,
     rho0[n_level, n_level] = 1.0
     state = TruncatedState(rho=rho0, energies=energies, hbar=hbar)
     states, _ = lindblad_integrate(state, energies, [q_mat],
-                                   np.concatenate([[0.0], times]), dt=5e-4)
+                                   np.concatenate([[0.0], times]))
 
     deltas, rows = [], []
     for tv, st in zip(times, states[1:]):
@@ -294,7 +293,7 @@ def check_off_diagonal(hbar: float = 0.05, tolerance_floor: float = 0.10,
     state = TruncatedState(rho=rho0, energies=energies, hbar=hbar)
     times = [period / 32, period / 16, period / 8, period / 4, period / 2]
     states, _ = lindblad_integrate(state, energies, [q_mat],
-                                   np.concatenate([[0.0], times]), dt=1e-3)
+                                   np.concatenate([[0.0], times]))
 
     # antinode probe pairs on a coarse grid inside the allowed region
     r = np.sqrt(2.0 * energy)

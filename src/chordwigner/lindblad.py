@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson, simpson
 
 from .flow import HamiltonianSystem, hamiltonian_flow
 from .shells import Chord
@@ -100,11 +100,7 @@ class DecoherenceRecord:
 
     def partial_d2(self) -> np.ndarray:
         """Cumulative D^2 on the sample grid (nondecreasing)."""
-        out = np.empty_like(self.times)
-        out[0] = 0.0
-        for i in range(1, len(self.times)):
-            out[i] = simpson(self.integrand[: i + 1], x=self.times[: i + 1])
-        return out
+        return cumulative_simpson(self.integrand, x=self.times, initial=0.0)
 
 
 @dataclass
@@ -144,16 +140,11 @@ def hermitian_decay_rate(chord: Chord, channels: Sequence[LindbladChannel],
     return float(total / (2.0 * hbar))
 
 
-def _tip_flow(system: HamiltonianSystem, x0, t: float,
-              n_steps: int) -> np.ndarray:
-    traj = hamiltonian_flow(system, x0, t, dt=t / n_steps, dense=True)
-    return traj.points
-
-
 def decoherence_distance(x_plus0, x_minus0, system: HamiltonianSystem,
                          channels: Sequence[LindbladChannel], t: float,
                          n_steps: Optional[int] = None) -> DecoherenceRecord:
-    """D_t from the two tip trajectories, composite Simpson in time."""
+    """D_t from the two tip trajectories (flowed as one batch),
+    composite Simpson in time."""
     _require_hermitian(channels)
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -167,8 +158,9 @@ def decoherence_distance(x_plus0, x_minus0, system: HamiltonianSystem,
         n_steps = max(64, int(np.ceil(t / 1e-3)))
     if n_steps % 2:
         n_steps += 1
-    tp = _tip_flow(system, x_plus0, t, n_steps)
-    tm = _tip_flow(system, x_minus0, t, n_steps)
+    tips = np.stack([x_plus0, x_minus0]).astype(float)
+    traj = hamiltonian_flow(system, tips, t, dt=t / n_steps, dense=True)
+    tp, tm = traj.points[:, 0], traj.points[:, 1]
     times = np.linspace(0.0, t, n_steps + 1)
     g = np.zeros(n_steps + 1)
     for ch in channels:
@@ -214,8 +206,8 @@ def trotter_evolve(chord0: Chord, system: HamiltonianSystem,
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h = t / n_steps
-    xp = np.asarray(chord0.x_plus, dtype=float).copy()
-    xm = np.asarray(chord0.x_minus, dtype=float).copy()
+    tips = np.stack([chord0.x_plus, chord0.x_minus]).astype(float)
+    xp, xm = tips
     dh = float(system.energy(xp) - system.energy(xm))
     times = [0.0]
     integrand = [sum(abs(ch(xp) - ch(xm)) ** 2 for ch in channels)]
@@ -225,8 +217,8 @@ def trotter_evolve(chord0: Chord, system: HamiltonianSystem,
     flow_steps = max(8, int(np.ceil(h / 1e-3)))
     for _ in range(n_steps):
         if h > 0:
-            xp = hamiltonian_flow(system, xp, h, dt=h / flow_steps).final
-            xm = hamiltonian_flow(system, xm, h, dt=h / flow_steps).final
+            tips = hamiltonian_flow(system, tips, h, dt=h / flow_steps).final
+            xp, xm = tips
         g = sum(abs(ch(xp) - ch(xm)) ** 2 for ch in channels)
         d2 += g * h
         s_t -= dh * h

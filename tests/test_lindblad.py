@@ -121,6 +121,7 @@ def test_distance_harmonic_closed_form():
     partial = rec.partial_d2()
     assert partial[0] == 0.0
     assert np.all(np.diff(partial) >= -1e-14)
+    assert abs(partial[-1] - rec.d2) < 1e-12
 
 
 def test_distance_additivity():
