@@ -63,6 +63,7 @@ from .lindblad import (  # noqa: F401
     momentum_channel,
     polynomial_channel,
     position_channel,
+    shell_d2,
     trotter_evolve,
     write_trace,
 )

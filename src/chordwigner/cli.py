@@ -344,7 +344,7 @@ def run_normalize(cfg: Dict, out: Path) -> List[str]:
     shell, energy = _shell_from(cfg, system, hbar)
     exponent = cfg.get("exponent", "hbar")
     report = run_suite(
-        shell, hbar, system=system, channels=channels,
+        shell, hbar, channels=channels,
         trace_hbars=[float(h) for h in cfg.get("trace_hbars", [])],
         decay_times=[float(t) for t in cfg.get("decay_times", [])],
         n_angle=int(cfg.get("n_angle", 256)), exponent=exponent)

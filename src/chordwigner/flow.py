@@ -199,7 +199,7 @@ def hamiltonian_flow(system, x0, t: float, dt: float = 1e-3,
     if t == 0:
         pts = np.stack([x0, x0])
         return Trajectory(times=np.array([0.0, 0.0]), points=pts)
-    n = max(1, int(np.ceil(t / dt - 1e-12)))
+    n = max(1, int(np.ceil(t / dt * (1.0 - 1e-12))))
     h = t / n
     x = x0
     times = [0.0]

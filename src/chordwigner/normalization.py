@@ -10,13 +10,14 @@ angle blocks and summed in a fixed order, so results are deterministic.
 """
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .flow import HamiltonianSystem, hamiltonian_flow
-from .lindblad import LindbladChannel, _require_hermitian
+from .flow import HamiltonianSystem
+from .lindblad import (LindbladChannel, _require_hermitian,
+                       _require_shell_dynamics, shell_d2)
 from .shells import ShellSpec
 
 TWO_PI = 2.0 * np.pi
@@ -56,57 +57,31 @@ def purity_t0(shell: ShellSpec, hbar: float, n: int = 64,
     return float(vals.mean() * TWO_PI**2)
 
 
-def _simpson_weights(k: int, t: float) -> np.ndarray:
-    w = np.ones(k)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (t / (k - 1)) / 3.0
-
-
 def purity_decay(shell: ShellSpec, system: HamiltonianSystem,
                  channels: Sequence[LindbladChannel], t: float, hbar: float,
-                 n_angle: int = 256, n_time: int = 129,
-                 exponent: str = "hbar", dt: float = 1e-3
+                 n_angle: int = 256, exponent: str = "hbar"
                  ) -> AngleIntegralReport:
     """tr rho^2(t) as the angle-pair mean of exp(-D_t^2 / denom).
 
-    D_t is the decoherence distance of the trajectory pair launched at
-    the two angles; every pair shares the same time nodes, so one batch
-    flow of the angle ring feeds all n_angle^2 pairs.  The exponent
-    denominator is a convention switch: "hbar" uses D^2/hbar (the square
-    of the amplitude damping, appropriate for a squared density), "half"
-    uses D^2/2hbar, "bare" uses D^2 alone.
+    D_t is the decoherence distance of the two tips that start at the
+    pair's angles and move along the shell (shell_d2); system must be
+    shell.system.  The exponent denominator is a convention switch:
+    "hbar" uses D^2/hbar (the square of the amplitude damping,
+    appropriate for a squared density), "half" uses D^2/2hbar, "bare"
+    uses D^2 alone.
     """
     if exponent not in _EXPONENT_DENOM:
         raise ValueError(f"unknown exponent convention {exponent!r}")
     _require_hermitian(channels)
+    _require_shell_dynamics(shell, system)
     denom = hbar * _EXPONENT_DENOM[exponent] or 1.0
     if t == 0 or not channels:
         return AngleIntegralReport(value=1.0, grid=n_angle, est_error=0.0)
-    if n_time % 2 == 0:
-        n_time += 1
     thetas = np.arange(n_angle) * TWO_PI / n_angle
-    x = shell.point(thetas)                      # (M, 2)
-    nodes = np.linspace(0.0, t, n_time)
-    lvals = np.empty((len(channels), n_time, n_angle))
-    for c, ch in enumerate(channels):
-        lvals[c, 0] = ch(x)
-    for k in range(1, n_time):
-        x = hamiltonian_flow(system, x, nodes[k] - nodes[k - 1],
-                             dt=dt).points[-1]
-        for c, ch in enumerate(channels):
-            lvals[c, k] = ch(x)
-    w = _simpson_weights(n_time, t)
-    # D2_mn = sum_c sum_k w_k (L_ckm - L_ckn)^2, expanded to one matmul
-    auto = np.einsum("ckm,k,ckm->m", lvals, w, lvals)
-    cross = np.einsum("ckm,k,ckn->mn", lvals, w, lvals)
-    d2 = auto[:, None] + auto[None, :] - 2.0 * cross
-    np.maximum(d2, 0.0, out=d2)                  # clip roundoff negatives
-    damp = np.exp(-d2 / denom)
+    damp = np.exp(-shell_d2(shell, thetas, thetas, t, channels) / denom)
     value = float(damp.mean())
-    value_half = float(damp[::2, ::2].mean())
-    return AngleIntegralReport(value=value, grid=n_angle,
-                               est_error=abs(value - value_half))
+    return AngleIntegralReport(value=value, grid=n_angle, est_error=abs(
+        value - float(damp[::2, ::2].mean())))
 
 
 def direct_trace(shell: ShellSpec, hbar: float, n_inner: int = 64,
@@ -179,7 +154,6 @@ def hessian_limit(shell: ShellSpec, theta: float, delta: float = 0.05,
 
 
 def run_suite(shell: ShellSpec, hbar: float,
-              system: Optional[HamiltonianSystem] = None,
               channels: Sequence[LindbladChannel] = (),
               trace_hbars: Sequence[float] = (),
               decay_times: Sequence[float] = (),
@@ -202,9 +176,8 @@ def run_suite(shell: ShellSpec, hbar: float,
             "value": rep.value, "grid": rep.grid,
             "est_error": rep.est_error,
         }
-    sys_ = system if system is not None else shell.system
     for tv in decay_times:
-        rep = purity_decay(shell, sys_, channels, tv, hbar,
+        rep = purity_decay(shell, shell.system, channels, tv, hbar,
                            n_angle=n_angle, exponent=exponent)
         out["purity_decay"][f"{tv:g}"] = {
             "value": rep.value, "grid": rep.grid,

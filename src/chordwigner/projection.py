@@ -1,16 +1,16 @@
 """Position- and momentum-representation density matrix elements built
-from WKB branch pairs, damped by the decoherence distance of the
-trajectory pair launched at the two branch points."""
+from WKB branch pairs, damped by the decoherence distance of the two
+branch points as they move along the shell."""
 import csv
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma, jv
 
 from .flow import HamiltonianSystem
-from .lindblad import LindbladChannel, decoherence_distance
+from .lindblad import LindbladChannel, _require_shell_dynamics, shell_d2
 from .shells import ShellSpec, build_shell
 
 TWO_PI = 2.0 * np.pi
@@ -140,9 +140,11 @@ def density_matrix_sc(q_plus: float, q_minus: float, shell: ShellSpec,
                       hbar: float) -> DensityMatrixElement:
     """Sum over branch pairs of a+ a- e^{i(phi+ - phi-)} e^{-D_t^2/2hbar}.
 
-    D_t is accumulated on the trajectory pair launched from the two
-    branch points; hermitian channels never touch the phase.
+    D_t is accumulated by the two branch points as they move along the
+    shell (one shell_d2 call for all pairs); system must be shell.system.
+    Hermitian channels never touch the phase.
     """
+    _require_shell_dynamics(shell, system)
     bp = wkb_branches(q_plus, shell)
     bm = wkb_branches(q_minus, shell)
     flagged = any(b.turning for b in bp + bm)
@@ -151,23 +153,14 @@ def density_matrix_sc(q_plus: float, q_minus: float, shell: ShellSpec,
         raise TurningPointError(
             "a query position sits at a turning point, where the "
             "primitive WKB amplitude diverges")
-    terms = []
-    for b1 in bp:
-        if b1.turning:
-            continue
-        for b2 in bm:
-            if b2.turning:
-                continue
-            if t > 0 and channels:
-                rec = decoherence_distance(b1.x, b2.x, system, channels, t)
-                damp = float(np.exp(-rec.d2 / (2.0 * hbar)))
-            else:
-                damp = 1.0
-            terms.append(BranchPairTerm(
-                j_plus=b1.j, j_minus=b2.j,
-                amplitude=b1.amplitude * b2.amplitude,
-                phase=b1.phase(hbar) - b2.phase(hbar),
-                damping=damp))
+    bp, bm = ([b for b in br if not b.turning] for br in (bp, bm))
+    d2 = shell_d2(shell, [b.theta for b in bp], [b.theta for b in bm], t,
+                  channels)
+    terms = [BranchPairTerm(j_plus=b1.j, j_minus=b2.j,
+                            amplitude=b1.amplitude * b2.amplitude,
+                            phase=b1.phase(hbar) - b2.phase(hbar),
+                            damping=float(np.exp(-d2[i, k] / (2.0 * hbar))))
+             for i, b1 in enumerate(bp) for k, b2 in enumerate(bm)]
     value = complex(sum(term.value for term in terms))
     return DensityMatrixElement(q_plus=q_plus, q_minus=q_minus, value=value,
                                 terms=tuple(terms), flagged=flagged)
@@ -192,15 +185,16 @@ def momentum_rep_element(p_plus: float, p_minus: float, shell: ShellSpec,
     """Mirror of density_matrix_sc with p and q exchanged.
 
     The exchange is antisymplectic (time-reversing); |delta L|^2 time
-    integrals are invariant, so the damping carries over unchanged.
+    integrals are invariant, so the damping carries over unchanged.  The
+    tips move along the swapped shell; system must be shell.system.
     """
+    _require_shell_dynamics(shell, system)
     sw_shell = build_shell(swapped_system(shell.system), shell.energy)
-    sw_dynamics = swapped_system(system)
     sw_channels = [LindbladChannel(
         name=ch.name + "-pqswap",
         func=(lambda f: lambda x: f(np.asarray(x)[..., ::-1]))(ch.func),
         hermitian=ch.hermitian) for ch in channels]
-    return density_matrix_sc(p_plus, p_minus, sw_shell, sw_dynamics,
+    return density_matrix_sc(p_plus, p_minus, sw_shell, sw_shell.system,
                              sw_channels, t, hbar)
 
 

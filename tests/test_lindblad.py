@@ -2,9 +2,11 @@
 distance functional, continuous and Trotter-split evolution."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from chordwigner import make_system, polynomial_system
+from chordwigner import HamiltonianSystem, make_system, polynomial_system
 from chordwigner.lindblad import (
     NonHermitianError,
     decoherence_distance,
@@ -17,6 +19,7 @@ from chordwigner.lindblad import (
     momentum_channel,
     polynomial_channel,
     position_channel,
+    shell_d2,
     trotter_evolve,
     write_trace,
 )
@@ -134,6 +137,66 @@ def test_distance_additivity():
     second = decoherence_distance(first.traj_plus[-1], first.traj_minus[-1],
                                   quartic, [qchan], t2)
     assert_allclose(first.d2 + second.d2, whole.d2, atol=1e-8)
+
+
+@pytest.mark.parametrize("t", [17.054, 17.403])
+def test_distance_long_time_step_count(t):
+    # above 2^14 steps an absolute 1e-12 guard on t/dt is below half an
+    # ulp, so ceil(t/dt) could take one step more than the grid Simpson
+    # ran on (17.054 broke that way; 17.403 rounds to an exact integer)
+    xp, xm = np.array([0.5, 0.3]), np.array([-0.2, 0.1])
+    rec = decoherence_distance(xp, xm, harmonic, [position_channel()], t)
+    n = int(np.ceil(t / 1e-3))
+    assert len(rec.times) == len(rec.integrand) == n + n % 2 + 1
+    dp, dq = xp - xm
+    closed = (dq**2 * (t / 2 + np.sin(2 * t) / 4)
+              + dp**2 * (t / 2 - np.sin(2 * t) / 4) + dq * dp * np.sin(t) ** 2)
+    assert_allclose(rec.d2, closed, rtol=1e-6)
+
+
+def _shell_family(kind, c):
+    """p^2/2 + V(q): V = c^2 q^2/2, c q^4/2 or -c cos q."""
+    v, dv = {"oscillator": (lambda q: 0.5 * c * c * q * q,
+                            lambda q: c * c * q),
+             "quartic": (lambda q: 0.5 * c * q**4, lambda q: 2 * c * q**3),
+             "pendulum": (lambda q: -c * np.cos(q),
+                          lambda q: c * np.sin(q))}[kind]
+    return HamiltonianSystem(
+        kind, value=lambda x: 0.5 * x[..., 0] ** 2 + v(x[..., 1]),
+        grad=lambda x: np.stack([x[..., 0], dv(x[..., 1])], axis=-1))
+
+
+SHELL_CHANNELS = {"q": position_channel(), "p": momentum_channel(),
+                  "q2": polynomial_channel({(0, 2): 1.0})}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
+       stiffness=st.floats(0.0, 1.0), amplitude=st.floats(0.5, 2.0),
+       theta=st.floats(0.0, 2 * np.pi), gap=st.floats(0.3, 2 * np.pi - 0.3),
+       fraction=st.floats(0.05, 1.0),
+       channel=st.sampled_from(sorted(SHELL_CHANNELS)))
+def test_shell_d2_matches_flowed_tips(kind, stiffness, amplitude, theta,
+                                      gap, fraction, channel):
+    # couplings keep periods near 0.8-1.4, so the dt = 1e-4 reference flow
+    # stays cheap.  Its error sits in the tip positions, so a D^2 that
+    # nearly cancels also gets a floor of 1e-9 t max L^2.
+    c = {"oscillator": 5.0 + 3.0 * stiffness,
+         "quartic": 150.0 + 250.0 * stiffness,
+         "pendulum": 35.0 + 25.0 * stiffness}[kind]
+    energy = {"oscillator": 0.5, "quartic": 2.0,
+              "pendulum": -c * np.cos(amplitude)}[kind]
+    system = _shell_family(kind, c)
+    shell = build_shell(system, energy)
+    t = fraction * shell.period
+    chans = [SHELL_CHANNELS[channel]]
+    d2 = shell_d2(shell, [theta], [theta + gap], t, chans)
+    assert d2.shape == (1, 1)
+    ref = decoherence_distance(shell.point(theta), shell.point(theta + gap),
+                               system, chans, t,
+                               n_steps=int(np.ceil(t / 1e-4)))
+    scale = t * np.max(chans[0](shell.points) ** 2)
+    assert_allclose(d2[0, 0], ref.d2, rtol=1e-6, atol=1e-9 * scale)
 
 
 def test_energy_channel_never_damps_shell_chords():

@@ -110,6 +110,14 @@ def test_purity_decay_rejects_nonhermitian():
         purity_decay(SHELL, HARM, [ladder], 0.5, HBAR)
 
 
+def test_purity_decay_rejects_foreign_dynamics():
+    # the ring moves along the shell, so only the shell's own system
+    # object is accepted, even an equal one is not
+    with pytest.raises(ValueError, match="shell.system"):
+        purity_decay(SHELL, make_system("harmonic"), [position_channel()],
+                     0.5, HBAR)
+
+
 def test_direct_trace_frozen_values():
     # harmonic E = 2.0; the deficit is hbar-stable and system-independent
     vals = {h: direct_trace(SHELL2, h).value for h in (0.1, 0.05, 0.025)}

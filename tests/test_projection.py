@@ -12,6 +12,7 @@ from chordwigner.projection import (
     bessel_correlation,
     density_matrix_sc,
     momentum_rep_element,
+    swapped_system,
     wkb_branches,
     write_element_grid,
 )
@@ -19,8 +20,31 @@ from chordwigner.wigner import eval_state, pure_state
 
 HARM = make_system("harmonic")
 SHELL = build_shell(HARM, 0.5)
-FROZEN = polynomial_system({}, name="zero")  # H = 0: tips never move
+FROZEN = polynomial_system({}, name="zero")  # H = 0, not the shell's H
 HBAR = 0.05
+
+
+def rotation_d2(x_plus, x_minus, t):
+    """D_t^2 for L = q on the unit oscillator, whose tips rotate rigidly
+    (the closed form of test_normalization.closed_form_purity)."""
+    dp, dq = np.subtract(x_plus, x_minus)
+    return (dq**2 * (t / 2 + np.sin(2 * t) / 4)
+            + dp**2 * (t / 2 - np.sin(2 * t) / 4) + dq * dp * np.sin(t) ** 2)
+
+
+def assert_rotation_damping(e0, e1, shell, a_plus, a_minus, t):
+    # Each term keeps its t = 0 phase and is damped by the closed form.
+    # Simpson nodes on moving tips leave ~1e-9 in the damping; the
+    # rel 1e-12 of a static-tip check held only because Simpson
+    # integrates a constant integrand exactly.
+    x_plus = {b.j: b.x for b in wkb_branches(a_plus, shell)}
+    x_minus = {b.j: b.x for b in wkb_branches(a_minus, shell)}
+    assert len(e1.terms) == len(e0.terms) == 4
+    for t0, t1 in zip(e0.terms, e1.terms):
+        assert t1.phase == pytest.approx(t0.phase, abs=1e-12)
+        d2 = rotation_d2(x_plus[t1.j_plus], x_minus[t1.j_minus], t)
+        assert t1.damping == pytest.approx(np.exp(-d2 / (2 * HBAR)),
+                                           rel=1e-8)
 
 
 def test_branches_harmonic():
@@ -86,15 +110,21 @@ def test_diagonal_branch_pairs_undamped():
     assert off and all(t.damping < 0.999 for t in off)
 
 
-def test_frozen_position_decay_exact():
-    # static tips, L = q: |rho_t| / |rho_0| = exp(-t (q+ - q-)^2 / 2 hbar)
+def test_harmonic_position_decay_closed_form():
     chan = [position_channel()]
-    e0 = density_matrix_sc(0.3, 0.1, SHELL, FROZEN, chan, 0.0, HBAR)
-    e1 = density_matrix_sc(0.3, 0.1, SHELL, FROZEN, chan, 0.7, HBAR)
-    target = np.exp(-0.7 * (0.3 - 0.1) ** 2 / (2 * HBAR))
-    assert abs(e1.value) / abs(e0.value) == pytest.approx(target, rel=1e-12)
-    # phases untouched by a hermitian coupling
-    assert np.angle(e1.value) == pytest.approx(np.angle(e0.value), abs=1e-12)
+    e0 = density_matrix_sc(0.3, 0.1, SHELL, HARM, chan, 0.0, HBAR)
+    e1 = density_matrix_sc(0.3, 0.1, SHELL, HARM, chan, 0.7, HBAR)
+    assert_rotation_damping(e0, e1, SHELL, 0.3, 0.1, 0.7)
+
+
+def test_foreign_dynamics_rejected():
+    # on-shell tips move with the shell's own H; other dynamics would
+    # leave the WKB phases unevolved, so they raise instead
+    chan = [position_channel()]
+    with pytest.raises(ValueError, match="shell.system"):
+        density_matrix_sc(0.3, 0.1, SHELL, FROZEN, chan, 0.7, HBAR)
+    with pytest.raises(ValueError, match="shell.system"):
+        momentum_rep_element(0.4, 0.15, SHELL, FROZEN, chan, 0.6, HBAR)
 
 
 def test_turning_query_raises():
@@ -122,12 +152,13 @@ def test_momentum_rep_matches_symmetric_hamiltonian():
     assert mom.value == pytest.approx(pos.value, abs=1e-9)
 
 
-def test_momentum_rep_frozen_decay():
+def test_momentum_rep_harmonic_decay_closed_form():
+    # L = p reads the swapped shell's q, which rotates rigidly as well
     chan = [momentum_channel()]
-    e0 = momentum_rep_element(0.4, 0.15, SHELL, FROZEN, chan, 0.0, HBAR)
-    e1 = momentum_rep_element(0.4, 0.15, SHELL, FROZEN, chan, 0.6, HBAR)
-    target = np.exp(-0.6 * (0.4 - 0.15) ** 2 / (2 * HBAR))
-    assert abs(e1.value) / abs(e0.value) == pytest.approx(target, rel=1e-12)
+    e0 = momentum_rep_element(0.4, 0.15, SHELL, HARM, chan, 0.0, HBAR)
+    e1 = momentum_rep_element(0.4, 0.15, SHELL, HARM, chan, 0.7, HBAR)
+    sw_shell = build_shell(swapped_system(HARM), 0.5)
+    assert_rotation_damping(e0, e1, sw_shell, 0.4, 0.15, 0.7)
 
 
 def test_bessel_correlation_forms():
