@@ -7,6 +7,7 @@ submodule; see the README for a guided tour.
 from .flow import (  # noqa: F401
     J,
     HamiltonianSystem,
+    NumericalError,
     ShellError,
     Trajectory,
     find_period,
@@ -25,9 +26,7 @@ from .flow import (  # noqa: F401
 from .shells import (  # noqa: F401
     Chord,
     ShellSpec,
-    angle_jacobian,
     build_shell,
-    caustic_indicator,
     chord_amplitude,
     find_chords,
     quantize_energy,

@@ -26,7 +26,8 @@ Shared config keys (per-command keys are documented on each runner):
 
 Exit codes: 0 success, 2 configuration error (unknown command, bad or
 missing key, unresolvable name, non-hermitian channel), 3 numerical
-failure (empty shell, turning-point query, oracle divergence).
+failure (empty shell, turning-point query, caustic amplitude, oracle
+divergence).
 
 Manifests embed the sha256 of the config body and state every physical
 convention in force, so a report can be read without the source.
@@ -42,7 +43,8 @@ import numpy as np
 
 from .compare import ALL_CHECKS, run_checks
 from .diffusion import bracket_rate, window_width, write_diffusion_report
-from .flow import HamiltonianSystem, ShellError, make_system, polynomial_system
+from .flow import (HamiltonianSystem, NumericalError, make_system,
+                   polynomial_system)
 from .lindblad import (
     LindbladChannel,
     NonHermitianError,
@@ -52,12 +54,7 @@ from .lindblad import (
 )
 from .normalization import run_suite
 from .oracle import OracleError, moyal_star
-from .projection import (
-    TurningPointError,
-    density_matrix_sc,
-    momentum_rep_element,
-    write_element_grid,
-)
+from .projection import density_matrix_sc, swapped_shell, write_element_grid
 from .shells import Chord, build_shell, quantize_energy
 from .wigner import eval_grid, pure_state, spectral_state
 
@@ -299,9 +296,10 @@ def run_project(cfg: Dict, out: Path) -> List[str]:
     pairs = cfg.get("pairs")
     if not isinstance(pairs, list) or not pairs:
         raise ConfigError('config key "pairs" must be a nonempty list')
-    element = density_matrix_sc if rep == "position" else momentum_rep_element
-    elements = [element(float(a), float(b), shell, system, channels, t, hbar)
-                for a, b in pairs]
+    if rep == "momentum":  # one swapped shell serves every pair
+        shell, channels = swapped_shell(shell, channels)
+    elements = [density_matrix_sc(float(a), float(b), shell, shell.system,
+                                  channels, t, hbar) for a, b in pairs]
     write_element_grid(out / "elements.csv", elements)
     manifest = _write_manifest(
         out, "project", cfg, ["elements.csv"],
@@ -498,19 +496,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         artifacts = COMMANDS[args.command](cfg, out)
-    except (TurningPointError, ShellError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
-    except OracleError as err:
-        print(f"oracle failure: {err}", file=sys.stderr)
+    except (NumericalError, RuntimeError) as err:  # OracleError included
+        kind = "oracle" if isinstance(err, OracleError) else "numerical"
+        print(f"{kind} failure: {err}", file=sys.stderr)
         return 3
     except (ConfigError, NonHermitianError, ValueError, KeyError,
             TypeError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
     for name in artifacts:
         print(out / name)
     return 0

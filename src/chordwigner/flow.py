@@ -28,6 +28,7 @@ __all__ = [
     "periodic_orbit",
     "shell_start",
     "shell_average",
+    "NumericalError",
     "ShellError",
 ]
 
@@ -36,7 +37,12 @@ __all__ = [
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-class ShellError(ValueError):
+class NumericalError(ValueError):
+    """Well-formed input whose result is undefined or cannot be resolved
+    (a caustic, an empty shell); the CLI exits with code 3 on it."""
+
+
+class ShellError(NumericalError):
     """Raised when an energy shell is empty or not a closed orbit."""
 
 

@@ -15,7 +15,7 @@ from typing import Dict, Sequence
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .flow import HamiltonianSystem
+from .flow import HamiltonianSystem, NumericalError
 from .lindblad import (LindbladChannel, _require_hermitian,
                        _require_shell_dynamics, shell_d2)
 from .shells import ShellSpec
@@ -25,7 +25,7 @@ TWO_PI = 2.0 * np.pi
 _EXPONENT_DENOM = {"hbar": 1.0, "half": 2.0, "bare": 0.0}  # see purity_decay
 
 
-class DegenerateSamplingError(ValueError):
+class DegenerateSamplingError(NumericalError):
     """Velocity wedge too small to resolve the small-chord hessian."""
 
 

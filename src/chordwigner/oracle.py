@@ -4,9 +4,10 @@ matrix exponential of the sparse Liouvillian, Al-Mohy & Higham 2011).
 
 Everything here is independent of the semiclassical construction; it is
 the yardstick the chord machinery is measured against.  The Weyl
-transform lives on a doubled-centre grid (centres at dq/2 spacing, one
-FFT per anti-diagonal), the smallest discretisation that is exactly
-invertible and keeps trace / marginal / overlap identities exact.
+transform lives on a doubled-centre grid (centres at dq/2 spacing, each
+anti-diagonal shifted into one row of a single FFT), the smallest
+discretisation that is exactly invertible and keeps trace / marginal /
+overlap identities exact.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
@@ -286,13 +288,25 @@ class WignerGrid:
                 + fs * fk * w[s0 + 1, k0 + 1])
 
 
+def _antidiagonal_index(n: int) -> np.ndarray:
+    """Flat index of each rho[i, j] in the (2n - 1, n) row layout: row
+    s = i + j holds rho[m, s - m] at column (m - floor(s/2)) mod n =
+    ceil((i - j)/2) mod n, a Toeplitz view of one (2n - 1,) table."""
+    d = np.arange(1 - n, n)
+    col = sliding_window_view((d + 1) // 2 % n, n)[:, ::-1]
+    row = n * np.arange(n)
+    return row[:, None] + row + col
+
+
 def weyl_transform(rho: DensityGrid, alias_tol: float = 1e-5) -> WignerGrid:
     """Discrete Weyl transform on the doubled-centre grid.
 
-    W[s, k] = (dq / 2 pi hbar) sum_r rho[(s+r)/2, (s-r)/2] e^{-i p_k r dq/hbar}
+    W[s, k] = (dq / pi hbar) sum_m rho[m, s - m] e^{-i pi ktilde (2m - s)/n}
 
-    with p_k = 2 pi hbar ktilde / (2 n dq).  Exactly invertible; raises
-    on aliasing (significant density at the grid boundary).
+    with p_k = pi hbar ktilde / (n dq).  The row shift floor(s/2) of
+    _antidiagonal_index carries e^{2 pi i ktilde floor(s/2)/n}, so only
+    odd rows keep a phase.  Exactly invertible; raises on aliasing
+    (significant density at the grid boundary).
     """
     mat = np.asarray(rho.rho, dtype=complex)
     n = mat.shape[0]
@@ -304,38 +318,28 @@ def weyl_transform(rho: DensityGrid, alias_tol: float = 1e-5) -> WignerGrid:
         raise OracleError(
             f"density at grid boundary ({edge/scale:.2e} of max) would alias")
 
-    # one n-point FFT per antidiagonal: rows[s, m] = rho[m, s - m]
     rows = np.zeros((2 * n - 1, n), dtype=complex)
-    for s in range(2 * n - 1):
-        m = np.arange(max(0, s - (n - 1)), min(n - 1, s) + 1)
-        rows[s, m] = mat[m, s - m]
-    f = np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1)
-    ktilde = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / n))  # signed ints
-    s_idx = np.arange(2 * n - 1)[:, None]
-    # half-integer centres (odd s) shift the momentum comb by half a cell
-    wc = (dq / (np.pi * hbar)) * np.exp(
-        1j * np.pi * ktilde[None, :] * s_idx / n) * f
+    rows.reshape(-1)[_antidiagonal_index(n)] = mat
+    k = np.fft.fftfreq(n, d=1.0 / n)  # signed integers, in FFT order
+    wc = np.fft.fft(rows, axis=1)
+    wc *= dq / (np.pi * hbar)
+    wc[1::2] *= np.exp(1j * np.pi * k / n)
     imag = np.max(np.abs(wc.imag))
     if imag > 1e-10 * max(1.0, np.max(np.abs(wc.real))):
         raise OracleError(f"Wigner transform imaginary residue {imag:.2e}")
-    ps = np.pi * hbar * ktilde / (n * dq)
+    ps = np.pi * hbar * np.fft.fftshift(k) / (n * dq)
     q_centres = rho.qs[0] + 0.5 * dq * np.arange(2 * n - 1)
-    return WignerGrid(q_centres=q_centres, ps=ps, w=wc.real,
-                      hbar=hbar, dq=dq)
+    return WignerGrid(q_centres=q_centres, ps=ps,
+                      w=np.fft.fftshift(wc.real, axes=1), hbar=hbar, dq=dq)
 
 
 def inverse_weyl(wg: WignerGrid, qs: Optional[np.ndarray] = None) -> DensityGrid:
-    """Exact inverse of weyl_transform."""
+    """Exact inverse of weyl_transform, on the same row layout."""
     n = len(wg.ps)
-    ktilde = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / n))
-    s_idx = np.arange(2 * n - 1)[:, None]
-    f = (wg.w.astype(complex) * (np.pi * wg.hbar / wg.dq)
-         * np.exp(-1j * np.pi * ktilde[None, :] * s_idx / n))
-    rows = np.fft.ifft(np.fft.ifftshift(f, axes=1), axis=1)
-    mat = np.zeros((n, n), dtype=complex)
-    for s in range(2 * n - 1):
-        m = np.arange(max(0, s - (n - 1)), min(n - 1, s) + 1)
-        mat[m, s - m] = rows[s, m]
+    f = np.fft.ifftshift(wg.w, axes=1) * complex(np.pi * wg.hbar / wg.dq)
+    f[1::2] *= np.exp(-1j * np.pi * np.fft.fftfreq(n, d=1.0 / n) / n)
+    rows = np.fft.ifft(f, axis=1)
+    mat = rows.reshape(-1)[_antidiagonal_index(n)]
     if qs is None:
         qs = wg.q_centres[::2]
     return DensityGrid(qs=np.asarray(qs), rho=mat, hbar=wg.hbar)

@@ -9,14 +9,14 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma, jv
 
-from .flow import HamiltonianSystem
+from .flow import HamiltonianSystem, NumericalError
 from .lindblad import LindbladChannel, _require_shell_dynamics, shell_d2
 from .shells import ShellSpec, build_shell
 
 TWO_PI = 2.0 * np.pi
 
 
-class TurningPointError(ValueError):
+class TurningPointError(NumericalError):
     """Query too close to a turning point for the simple WKB amplitude."""
 
 
@@ -178,22 +178,28 @@ def swapped_system(system: HamiltonianSystem) -> HamiltonianSystem:
         grad=sw_grad, fd_step=system.fd_step)
 
 
-def momentum_rep_element(p_plus: float, p_minus: float, shell: ShellSpec,
-                         system: HamiltonianSystem,
-                         channels: Sequence[LindbladChannel], t: float,
-                         hbar: float) -> DensityMatrixElement:
-    """Mirror of density_matrix_sc with p and q exchanged.
+def swapped_shell(shell: ShellSpec, channels: Sequence[LindbladChannel]):
+    """(shell, channels) with p and q exchanged, for density_matrix_sc.
 
     The exchange is antisymplectic (time-reversing); |delta L|^2 time
-    integrals are invariant, so the damping carries over unchanged.  The
-    tips move along the swapped shell; system must be shell.system.
+    integrals are invariant, so the damping carries over unchanged.
     """
-    _require_shell_dynamics(shell, system)
-    sw_shell = build_shell(swapped_system(shell.system), shell.energy)
     sw_channels = [LindbladChannel(
         name=ch.name + "-pqswap",
         func=(lambda f: lambda x: f(np.asarray(x)[..., ::-1]))(ch.func),
         hermitian=ch.hermitian) for ch in channels]
+    return (build_shell(swapped_system(shell.system), shell.energy),
+            sw_channels)
+
+
+def momentum_rep_element(p_plus: float, p_minus: float, shell: ShellSpec,
+                         system: HamiltonianSystem,
+                         channels: Sequence[LindbladChannel], t: float,
+                         hbar: float) -> DensityMatrixElement:
+    """Mirror of density_matrix_sc with p and q exchanged: the tips move
+    along swapped_shell(shell, channels); system must be shell.system."""
+    _require_shell_dynamics(shell, system)
+    sw_shell, sw_channels = swapped_shell(shell, channels)
     return density_matrix_sc(p_plus, p_minus, sw_shell, sw_shell.system,
                              sw_channels, t, hbar)
 

@@ -16,6 +16,7 @@ from scipy.interpolate import CubicSpline
 
 from .flow import (
     HamiltonianSystem,
+    NumericalError,
     ShellError,
     _closed_orbit,
     shell_start,
@@ -28,8 +29,6 @@ __all__ = [
     "build_shell",
     "find_chords",
     "chord_amplitude",
-    "angle_jacobian",
-    "caustic_indicator",
     "quantize_energy",
 ]
 
@@ -337,27 +336,11 @@ def chord_amplitude(chord: Chord, hbar: float, dof: int = 1,
     the caustic flag instead of consuming a garbage number.
     """
     if chord.caustic:
-        raise ValueError("amplitude undefined on a caustic chord")
+        raise NumericalError("amplitude undefined on a caustic chord")
     pref = (2.0 / (np.pi * np.sqrt(2.0 * np.pi * hbar))) ** dof
     a = pref / np.sqrt(abs(chord.wedge))
     chord.amplitude = amplitude_scale * a
     return chord.amplitude
-
-
-def angle_jacobian(shell: ShellSpec, theta_minus, theta_plus):
-    """|d(midpoint)/d(theta_-, theta_+)| = |wedge| / 4."""
-    return 0.25 * np.abs(shell.wedge(theta_minus, theta_plus))
-
-
-def caustic_indicator(shell: ShellSpec, x) -> float:
-    """min |wedge| over the chords of x; ~0 flags a caustic point.
-
-    Returns nan for points outside the shell (no chords).
-    """
-    chords = find_chords(shell, x)
-    if not chords:
-        return float("nan")
-    return min(abs(c.wedge) for c in chords)
 
 
 def quantize_energy(system: HamiltonianSystem, n_level: int,
@@ -370,26 +353,35 @@ def quantize_energy(system: HamiltonianSystem, n_level: int,
     orbit; a Newton step that leaves it is replaced by bisection.  The
     well bottom is taken at the origin, where A = 0.  A bracket that
     shrinks onto an energy with no root (a separatrix: the level does
-    not fit in the well) raises ShellError.
+    not fit in the well) raises ShellError.  Orbits past a separatrix
+    never return, so a probe stops after 4 periods of the lo orbit
+    instead of t_max = 400; a bracket end set by such a cut probe is
+    probed again in full before the error is raised.
     """
     target = TWO_PI * hbar * (n_level + 0.5)
     lo, hi = float(system.energy(np.zeros(2))), np.inf
     e = lo + target / TWO_PI  # exact for the unit-frequency oscillator
+    t_lo, reach, cut = np.inf, 4.0, False
     for _ in range(100):
         tol = 1e-10 * (1.0 + abs(e))
+        t_max = min(400.0, reach * t_lo)
         try:
-            period, _, area = _closed_orbit(system, shell_start(system, e))
+            period, _, area = _closed_orbit(system, shell_start(system, e),
+                                            t_max)
         except ShellError:
-            hi, step = e, None
+            hi, step, cut = e, None, t_max < 400.0
         else:
             step = (target - area) / period
             if abs(step) <= tol:
                 return e + step
             if area < target:
-                lo = e
+                lo, t_lo = e, period
             else:
-                hi = e
+                hi, cut = e, False
         if hi - lo <= 0.1 * tol:
+            if cut:
+                e, hi, reach = hi, np.inf, np.inf
+                continue
             raise ShellError(
                 f"no closed orbit encloses area {target:.6g} (level "
                 f"{n_level}): the bracket shrank onto E = {lo:.12g}, "

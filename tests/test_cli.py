@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
-from chordwigner.cli import ConfigError, load_config, main, physical_conventions
+from chordwigner import (build_shell, chord_amplitude, find_chords,
+                         hessian_limit, make_system, momentum_rep_element,
+                         position_channel)
+from chordwigner.cli import (COMMANDS, ConfigError, load_config, main,
+                             physical_conventions)
 
 
 def write_cfg(path, cfg) -> str:
@@ -174,7 +178,7 @@ def test_config_errors_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-def test_numerical_failures_exit_3(tmp_path):
+def test_numerical_failures_exit_3(tmp_path, monkeypatch):
     turning = write_cfg(tmp_path / "t.json", {
         "system": "harmonic", "hbar": 0.05, "shell": {"energy": 0.5},
         "channels": [], "t": 0.0, "pairs": [[1.0, 0.0]],
@@ -187,6 +191,34 @@ def test_numerical_failures_exit_3(tmp_path):
     })
     assert main(["project", "--config", empty_shell,
                  "--out", str(tmp_path)]) == 3
+
+    # numerical ValueErrors raised inside any command exit 3, not 2: a
+    # caustic chord amplitude and an unresolvable small-chord hessian
+    shell = build_shell(make_system("harmonic"), 0.5)
+    on_shell = find_chords(shell, shell.points[0])[0]
+    for failure in (lambda: chord_amplitude(on_shell, 0.05),
+                    lambda: hessian_limit(shell, 0.7, delta=0.0)):
+        monkeypatch.setitem(COMMANDS, "project",
+                            lambda cfg, out, failure=failure: failure())
+        assert main(["project", "--config", turning,
+                     "--out", str(tmp_path)]) == 3
+
+
+def test_project_momentum_matches_element_api(tmp_path):
+    cfg = {"system": "harmonic", "hbar": 0.05, "shell": {"energy": 0.5},
+           "channels": ["q"], "t": 0.4, "representation": "momentum",
+           "pairs": [[0.4, 0.15], [-0.3, 0.2], [0.1, -0.6]]}
+    path = write_cfg(tmp_path / "m.json", cfg)
+    assert main(["project", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "elements.csv").read_text().splitlines()[1:]
+    system = make_system("harmonic")
+    shell = build_shell(system, 0.5)
+    for (a, b), row in zip(cfg["pairs"], rows):
+        el = momentum_rep_element(a, b, shell, system, [position_channel()],
+                                  0.4, 0.05)
+        re, im = (float(v) for v in row.split(",")[2:4])
+        assert re == pytest.approx(el.value.real, rel=1e-10, abs=1e-12)
+        assert im == pytest.approx(el.value.imag, rel=1e-10, abs=1e-12)
 
 
 def test_unknown_command_exits_2(tmp_path):

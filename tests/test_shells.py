@@ -11,8 +11,6 @@ from chordwigner import (
     HamiltonianSystem,
     ShellError,
     build_shell,
-    angle_jacobian,
-    caustic_indicator,
     chord_amplitude,
     find_chords,
     make_system,
@@ -118,14 +116,15 @@ def test_find_chords_on_shell_degenerate():
 def test_find_chords_outside_is_empty():
     shell = circle_shell()
     assert find_chords(shell, (0.0, 1.5)) == []
-    assert np.isnan(caustic_indicator(shell, (0.0, 1.5)))
 
 
-def test_caustic_indicator_at_centre():
+def test_centre_chords_are_caustic():
     # every diameter is a caustic chord of the centre
     shell = circle_shell()
-    assert caustic_indicator(shell, (0.0, 0.0)) < 1e-8
-    assert caustic_indicator(shell, (0.0, 0.5)) > 0.5
+    centre = find_chords(shell, (0.0, 0.0))
+    assert centre and all(c.caustic for c in centre)
+    assert min(abs(c.wedge) for c in centre) < 1e-8
+    assert min(abs(c.wedge) for c in find_chords(shell, (0.0, 0.5))) > 0.5
 
 
 def test_chords_canonical_and_centred():
@@ -175,7 +174,7 @@ def test_batched_search_matches_pointwise(kind, coupling, level, polar):
             assert 0.0 <= dth <= np.pi + 1e-12
 
 
-def test_angle_jacobian_vs_finite_differences():
+def test_wedge_is_four_midpoint_jacobians():
     shell = build_shell(quartic, 0.5)
     h = 1e-5
     rng = np.random.default_rng(4)
@@ -185,7 +184,9 @@ def test_angle_jacobian_vs_finite_differences():
         col_m = (mid(tm + h, tp) - mid(tm - h, tp)) / (2 * h)
         col_p = (mid(tm, tp + h) - mid(tm, tp - h)) / (2 * h)
         det = col_m[0] * col_p[1] - col_m[1] * col_p[0]
-        assert_allclose(angle_jacobian(shell, tm, tp), abs(det), rtol=1e-4)
+        # |d(midpoint)/d(theta_-, theta_+)| = |wedge| / 4
+        assert_allclose(0.25 * abs(shell.wedge(tm, tp)), abs(det),
+                        rtol=1e-4)
 
 
 def test_pendulum_shell_area_elliptic():
