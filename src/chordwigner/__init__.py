@@ -13,7 +13,6 @@ from .flow import (  # noqa: F401
     find_period,
     hamiltonian_flow,
     make_system,
-    midpoint_step,
     periodic_orbit,
     poisson_bracket,
     polynomial_system,

@@ -1,10 +1,11 @@
 """Classical phase-space primitives for 1-DOF hamiltonian systems.
 
 Phase points are numpy arrays ``[p, q]`` -- momentum first.  The symplectic
-algebra (skew product, triangle areas, Poisson brackets), the
-implicit-midpoint flow and the adaptive closed-orbit integration defined
-here are the substrate for everything downstream: shell construction,
-quantization, chord geometry, decoherence integrals.
+algebra (skew product, triangle areas, Poisson brackets) and the two
+adaptive DOP853 integrations defined here -- the dense flow of a batch of
+tips and the closed orbit through a point -- are the substrate for
+everything downstream: shell construction, quantization, chord geometry,
+decoherence integrals.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ __all__ = [
     "make_system",
     "polynomial_system",
     "Trajectory",
-    "midpoint_step",
     "hamiltonian_flow",
     "find_period",
     "periodic_orbit",
@@ -171,51 +171,39 @@ class Trajectory:
         return np.max(np.abs(e - e[0]))
 
 
-def midpoint_step(system, x, dt, tol: float = 1e-14, max_iter: int = 80):
-    """One implicit-midpoint step; fixed-point iteration on the midpoint.
+def _tip_flow(system, x0, t: float):
+    """Dense solution of one DOP853 integration of the batch x0 (..., 2)
+    over [0, t], at the closed-orbit settings (rtol = atol = 1e-12).
 
-    Symplectic, time-reversible, second order; preserves quadratic
-    hamiltonians exactly.  x may be a batch (..., 2).  Raises
-    RuntimeError when the iteration has not converged after max_iter
-    sweeps (dt too large for the local stiffness).
+    Returns a callable mapping times (m,) in [0, t] to points (m, ..., 2).
+    Raises RuntimeError when the solver fails.
     """
-    x = np.asarray(x, dtype=float)
-    y = x + dt * system.velocity(x)  # Euler predictor
-    scale = np.max(np.abs(x)) + 1.0
-    for _ in range(max_iter):
-        y_new = x + dt * system.velocity(0.5 * (x + y))
-        if np.max(np.abs(y_new - y)) < tol * scale:
-            return y_new
-        y = y_new
-    raise RuntimeError(
-        f"implicit midpoint step dt={dt} did not converge in {max_iter} "
-        "iterations; reduce dt")
+    from scipy.integrate import solve_ivp
+
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    x0 = np.asarray(x0, dtype=float)
+    sol = solve_ivp(
+        lambda _, y: system.velocity(y.reshape(x0.shape)).ravel(),
+        (0.0, t), x0.ravel(), method="DOP853", rtol=1e-12, atol=1e-12,
+        dense_output=True)
+    if sol.status == -1:
+        raise RuntimeError(f"tip flow to t={t} failed: {sol.message}")
+    return lambda s: sol.sol(np.asarray(s, dtype=float)).T.reshape(
+        -1, *x0.shape)
 
 
 def hamiltonian_flow(system, x0, t: float, dt: float = 1e-3,
                      dense: bool = False) -> Trajectory:
     """Integrate x0 (possibly a batch) for time t >= 0.
 
-    With dense=True every accepted step is recorded; otherwise only the
-    endpoints.  The step count is ceil(t/dt) so the final time is exact.
+    One adaptive DOP853 integration; dt is only the sample spacing.  With
+    dense=True the flow is sampled on a grid of ceil(t/dt) equal steps
+    ending exactly at t; otherwise at the two endpoints.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0:
-        pts = np.stack([x0, x0])
-        return Trajectory(times=np.array([0.0, 0.0]), points=pts)
-    n = max(1, int(np.ceil(t / dt * (1.0 - 1e-12))))
-    h = t / n
-    x = x0
-    times = [0.0]
-    pts = [x0]
-    for m in range(n):
-        x = midpoint_step(system, x, h)
-        if dense or m == n - 1:
-            times.append((m + 1) * h)
-            pts.append(x)
-    return Trajectory(times=np.asarray(times), points=np.stack(pts))
+    n = max(1, int(np.ceil(t / dt * (1.0 - 1e-12)))) if dense else 1
+    times = np.linspace(0.0, t, n + 1)
+    return Trajectory(times=times, points=_tip_flow(system, x0, t)(times))
 
 
 def _closed_orbit(system, x0, t_max: float = 400.0):

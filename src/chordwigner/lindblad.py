@@ -11,9 +11,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from .flow import HamiltonianSystem, hamiltonian_flow
+from .flow import HamiltonianSystem, _tip_flow
 from .shells import TWO_PI, Chord, ShellSpec
 
 
@@ -155,6 +155,8 @@ def shell_d2(shell: ShellSpec, theta_a, theta_b, t: float,
     theta + 2 pi s / T a time s later: spline lookups at shared Simpson
     nodes (>= 129, 512 intervals per period).  D^2 is the squared
     distance of the sqrt(w)-weighted channel samples, 0 for equal tips.
+    Passing the same array for both angle sets samples it once and
+    computes each pair once (pdist).
     """
     ta = np.atleast_1d(np.asarray(theta_a, dtype=float))
     tb = np.atleast_1d(np.asarray(theta_b, dtype=float))
@@ -166,39 +168,64 @@ def shell_d2(shell: ShellSpec, theta_a, theta_b, t: float,
     n = 2 * int(np.ceil(max(64.0, 256.0 * t / shell.period))) + 1
     w = np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0] * t / (3 * n - 3)
     shift = TWO_PI / shell.period * np.linspace(0.0, t, n)
-    x = shell.point(np.concatenate([ta, tb]) + shift[:, None])  # (n, a+b, 2)
-    feats = np.concatenate([np.sqrt(w)[:, None] * ch(x) for ch in channels])
-    return cdist(feats[:, :ta.size].T, feats[:, ta.size:].T, "sqeuclidean")
+    same = theta_b is theta_a
+    x = shell.point((ta if same else np.concatenate([ta, tb]))
+                    + shift[:, None])  # (n, a or a+b, 2)
+    feats = np.concatenate([np.sqrt(w)[:, None] * ch(x)
+                            for ch in channels]).T
+    if same:
+        return squareform(pdist(feats, "sqeuclidean"))
+    return cdist(feats[:ta.size], feats[ta.size:], "sqeuclidean")
+
+
+def _record(flow: Callable, channels: Sequence[LindbladChannel], t: float,
+            n_steps: Optional[int] = None) -> DecoherenceRecord:
+    """D_t on [0, t] read off a dense flow of the (x+, x-) tip pair:
+    composite Simpson on n_steps (made even) equal intervals, by default
+    one per 1e-3 and at least 64."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0.0:
+        tips = flow([0.0])
+        return DecoherenceRecord(t=0.0, d2=0.0, times=np.zeros(1),
+                                 integrand=np.zeros(1), traj_plus=tips[:, 0],
+                                 traj_minus=tips[:, 1])
+    if n_steps is None:
+        n_steps = max(64, int(np.ceil(t / 1e-3)))
+    n_steps += n_steps % 2
+    times = np.linspace(0.0, t, n_steps + 1)
+    tips = flow(times)
+    tp, tm = tips[:, 0], tips[:, 1]
+    g = sum((np.abs(ch(tp) - ch(tm)) ** 2 for ch in channels),
+            np.zeros(len(times)))
+    d2 = float(simpson(g, x=times))
+    return DecoherenceRecord(t=t, d2=d2, times=times, integrand=g,
+                             traj_plus=tp, traj_minus=tm)
+
+
+def _evolved(chord0: Chord, system: HamiltonianSystem, rec: DecoherenceRecord,
+             hbar: float) -> EvolvedChord:
+    """The chord at rec.t: tips from the record, the action moved by
+    -[H(x+) - H(x-)] t, the amplitude damped by exp(-D_t^2 / 2 hbar)."""
+    dh = float(system.energy(chord0.x_plus) - system.energy(chord0.x_minus))
+    s_t = chord0.action - dh * rec.t
+    damping = float(np.exp(-rec.d2 / (2.0 * hbar)))
+    base = replace(chord0, x_plus=rec.traj_plus[-1].copy(),
+                   x_minus=rec.traj_minus[-1].copy(), action=s_t)
+    return EvolvedChord(base=base, damping=damping, s_t=s_t, record=rec)
 
 
 def decoherence_distance(x_plus0, x_minus0, system: HamiltonianSystem,
                          channels: Sequence[LindbladChannel], t: float,
                          n_steps: Optional[int] = None) -> DecoherenceRecord:
-    """D_t from the two tip trajectories (flowed as one batch),
-    composite Simpson in time.  For tips on a shell of this system,
-    shell_d2 gives the same number from spline lookups."""
+    """D_t from the two tip trajectories: one adaptive dense flow of the
+    pair, sampled on a composite-Simpson grid of n_steps (made even) equal
+    intervals, by default one per 1e-3 and at least 64.  For tips on a
+    shell of this system, shell_d2 gives the same number from spline
+    lookups."""
     _require_hermitian(channels)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        x0p = np.asarray(x_plus0, dtype=float)[None, :]
-        x0m = np.asarray(x_minus0, dtype=float)[None, :]
-        return DecoherenceRecord(t=0.0, d2=0.0, times=np.zeros(1),
-                                 integrand=np.zeros(1), traj_plus=x0p,
-                                 traj_minus=x0m)
-    if n_steps is None:
-        n_steps = max(64, int(np.ceil(t / 1e-3)))
-    if n_steps % 2:
-        n_steps += 1
-    tips = np.stack([x_plus0, x_minus0]).astype(float)
-    traj = hamiltonian_flow(system, tips, t, dt=t / n_steps, dense=True)
-    tp, tm = traj.points[:, 0], traj.points[:, 1]
-    g = np.zeros(len(traj.times))
-    for ch in channels:
-        g += np.abs(ch(tp) - ch(tm)) ** 2
-    d2 = float(simpson(g, x=traj.times))
-    return DecoherenceRecord(t=t, d2=d2, times=traj.times, integrand=g,
-                             traj_plus=tp, traj_minus=tm)
+    flow = _tip_flow(system, np.stack([x_plus0, x_minus0]), t)
+    return _record(flow, channels, t, n_steps)
 
 
 def evolve_contribution(chord0: Chord, system: HamiltonianSystem,
@@ -216,12 +243,7 @@ def evolve_contribution(chord0: Chord, system: HamiltonianSystem,
     """
     rec = decoherence_distance(chord0.x_plus, chord0.x_minus, system,
                                channels, t, n_steps=n_steps)
-    dh = float(system.energy(chord0.x_plus) - system.energy(chord0.x_minus))
-    s_t = chord0.action - dh * t
-    damping = float(np.exp(-rec.d2 / (2.0 * hbar)))
-    base = replace(chord0, x_plus=rec.traj_plus[-1].copy(),
-                   x_minus=rec.traj_minus[-1].copy(), action=s_t)
-    return EvolvedChord(base=base, damping=damping, s_t=s_t, record=rec)
+    return _evolved(chord0, system, rec, hbar)
 
 
 def trotter_evolve(chord0: Chord, system: HamiltonianSystem,
@@ -230,47 +252,38 @@ def trotter_evolve(chord0: Chord, system: HamiltonianSystem,
     """Split evolution: N substeps of (doubled-Hamiltonian transport over
     t/2N) then (frozen-chord damping with sqrt(2)-scaled couplings over
     t/2N) — algebraically a first-order Lie split of step t/N with the
-    damping integrand sampled at the post-flow tips.  Channels passed in
-    are the physical ones; the rescaling is internal bookkeeping.
+    damping integrand sampled at the post-flow tips.  Those tips are read
+    at k t/N off one dense flow, and D_t^2 is the right Riemann sum of the
+    integrand.  Channels passed in are the physical ones; the rescaling
+    is internal bookkeeping.
     """
     _require_hermitian(channels)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    h = t / n_steps
-    tips = np.stack([chord0.x_plus, chord0.x_minus]).astype(float)
-    xp, xm = tips
-    dh = float(system.energy(xp) - system.energy(xm))
-    times = [0.0]
-    integrand = [sum(abs(ch(xp) - ch(xm)) ** 2 for ch in channels)]
-    tps, tms = [xp.copy()], [xm.copy()]
-    d2 = 0.0
-    s_t = chord0.action
-    flow_steps = max(8, int(np.ceil(h / 1e-3)))
-    for _ in range(n_steps):
-        if h > 0:
-            tips = hamiltonian_flow(system, tips, h, dt=h / flow_steps).final
-            xp, xm = tips
-        g = sum(abs(ch(xp) - ch(xm)) ** 2 for ch in channels)
-        d2 += g * h
-        s_t -= dh * h
-        times.append(times[-1] + h)
-        integrand.append(g)
-        tps.append(xp.copy())
-        tms.append(xm.copy())
-    rec = DecoherenceRecord(t=t, d2=float(d2), times=np.array(times),
-                            integrand=np.array(integrand, dtype=float),
-                            traj_plus=np.array(tps), traj_minus=np.array(tms))
-    damping = float(np.exp(-d2 / (2.0 * hbar)))
-    base = replace(chord0, x_plus=xp, x_minus=xm, action=s_t)
-    return EvolvedChord(base=base, damping=damping, s_t=s_t, record=rec)
+    times = np.linspace(0.0, t, n_steps + 1)
+    tips = _tip_flow(system, np.stack([chord0.x_plus, chord0.x_minus]),
+                     t)(times)
+    tp, tm = tips[:, 0], tips[:, 1]
+    g = sum((np.abs(ch(tp) - ch(tm)) ** 2 for ch in channels),
+            np.zeros(n_steps + 1))
+    rec = DecoherenceRecord(t=t, d2=float(t / n_steps * np.sum(g[1:])),
+                            times=times, integrand=g, traj_plus=tp,
+                            traj_minus=tm)
+    return _evolved(chord0, system, rec, hbar)
 
 
 def evolution_trace(chord0: Chord, system: HamiltonianSystem,
                     channels: Sequence[LindbladChannel],
                     times: Sequence[float], hbar: float) -> List[Tuple[float,
                                                                        EvolvedChord]]:
-    return [(float(t), evolve_contribution(chord0, system, channels, float(t),
-                                           hbar)) for t in times]
+    """evolve_contribution at each time, every record read off one dense
+    flow of the tips to max(times) on the grid a separate call uses."""
+    _require_hermitian(channels)
+    times = [float(t) for t in times]
+    flow = _tip_flow(system, np.stack([chord0.x_plus, chord0.x_minus]),
+                     max(times, default=0.0))
+    return [(t, _evolved(chord0, system, _record(flow, channels, t), hbar))
+            for t in times]
 
 
 def write_trace(path, rows: Sequence[Tuple[float, EvolvedChord]]) -> None:

@@ -12,7 +12,6 @@ from chordwigner import (
     find_period,
     hamiltonian_flow,
     make_system,
-    midpoint_step,
     periodic_orbit,
     poisson_bracket,
     polynomial_system,
@@ -87,30 +86,34 @@ def test_flow_batched_matches_scalar():
     assert_allclose(batch, np.stack(singles), atol=1e-13)
 
 
-def test_midpoint_reversibility():
+def test_flow_time_reversal():
+    # flowing for 0.05, flipping p and flowing 0.05 again returns to the
+    # start with p flipped: H(p, q) = H(-p, q) makes the flow reversible
     rng = np.random.default_rng(3)
+    flip = np.array([-1.0, 1.0])
     for _ in range(10):
         x0 = rng.normal(size=2)
-        x1 = midpoint_step(pendulum, x0, 0.05)
-        back = midpoint_step(pendulum, x1, -0.05)
-        assert_allclose(back, x0, atol=1e-12)
+        x1 = hamiltonian_flow(pendulum, x0, 0.05).final
+        back = hamiltonian_flow(pendulum, flip * x1, 0.05).final
+        assert_allclose(flip * back, x0, atol=1e-12)
 
 
-def test_midpoint_step_raises_when_unconverged():
-    # dt = 0.5 at (p, q) = (0, 3) is far beyond the quartic's local
-    # stiffness; the fixed-point iteration diverges instead of converging
-    with pytest.raises(RuntimeError, match="did not converge"):
-        midpoint_step(quartic, np.array([0.0, 3.0]), 0.5)
+def test_flow_raises_when_integration_fails():
+    # H = p^2/2 - q^4/4 from (1, 1): q blows up in finite time before t = 5
+    # and the adaptive step collapses
+    unbounded = polynomial_system({(2, 0): 0.5, (0, 4): -0.25})
+    with pytest.raises(RuntimeError, match="failed"):
+        hamiltonian_flow(unbounded, np.array([1.0, 1.0]), 5.0)
 
 
-def test_midpoint_symplectic_jacobian():
-    # det of the step Jacobian is 1 (finite differences)
+def test_flow_symplectic_jacobian():
+    # det of the flow map's Jacobian is 1 (finite differences)
     h = 1e-6
     x0 = np.array([0.4, 0.9])
     cols = []
     for e in (np.array([h, 0.0]), np.array([0.0, h])):
-        d = (midpoint_step(quartic, x0 + e, 0.03)
-             - midpoint_step(quartic, x0 - e, 0.03)) / (2 * h)
+        d = (hamiltonian_flow(quartic, x0 + e, 0.03).final
+             - hamiltonian_flow(quartic, x0 - e, 0.03).final) / (2 * h)
         cols.append(d)
     det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
     assert_allclose(det, 1.0, atol=1e-8)

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from chordwigner import HamiltonianSystem, make_system, polynomial_system
+from chordwigner import (
+    HamiltonianSystem,
+    find_period,
+    hamiltonian_flow,
+    make_system,
+    polynomial_system,
+)
 from chordwigner.lindblad import (
     NonHermitianError,
     decoherence_distance,
@@ -199,6 +205,63 @@ def test_shell_d2_matches_flowed_tips(kind, stiffness, amplitude, theta,
     assert_allclose(d2[0, 0], ref.d2, rtol=1e-6, atol=1e-9 * scale)
 
 
+def test_shell_d2_same_angles_match_cross_pairs():
+    # one angle array for both sets takes the symmetric (pdist) path;
+    # it must agree bit for bit with the cross-pair (cdist) path
+    shell = build_shell(quartic, 0.5)
+    thetas = np.arange(64) * 2 * np.pi / 64
+    chans = [position_channel(), momentum_channel(0.5)]
+    sym = shell_d2(shell, thetas, thetas, 0.9, chans)
+    cross = shell_d2(shell, thetas, thetas.copy(), 0.9, chans)
+    assert np.array_equal(sym, cross)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
+       coupling=st.floats(1.0, 3.0),
+       radii=st.tuples(st.floats(0.3, 1.2), st.floats(0.3, 1.2)),
+       angles=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
+       fraction=st.floats(0.05, 1.0), split=st.floats(0.1, 0.9),
+       channel=st.sampled_from(sorted(SHELL_CHANNELS)))
+def test_tip_flow_invariants(kind, coupling, radii, angles, fraction, split,
+                             channel):
+    # off-shell tips (each on its own energy shell, librating for the
+    # pendulum) flowed for up to one period of the x+ orbit
+    system = _shell_family(kind, coupling)
+    tips = np.array([[r * np.cos(a), r * np.sin(a)]
+                     for r, a in zip(radii, angles)])
+    t = fraction * find_period(system, tips[0])
+    chans = [SHELL_CHANNELS[channel]]
+    traj = hamiltonian_flow(system, tips, t, dt=t / 64, dense=True)
+    # energy is conserved along both tips
+    energy = system.energy(traj.points)
+    assert np.max(np.abs(energy - energy[0])) <= 1e-8
+    # a batch flows as its tips do one by one; the two runs take
+    # different adaptive steps, so they agree to the solver tolerance
+    singles = np.stack([hamiltonian_flow(system, x, t).final for x in tips])
+    assert_allclose(traj.final, singles, rtol=0, atol=1e-10)
+    # D_t^2 adds over [0, t1] and [t1, t]
+    t1 = split * t
+    whole = decoherence_distance(*tips, system, chans, t)
+    first = decoherence_distance(*tips, system, chans, t1)
+    second = decoherence_distance(first.traj_plus[-1], first.traj_minus[-1],
+                                  system, chans, t - t1)
+    assert_allclose(first.d2 + second.d2, whole.d2, rtol=0, atol=1e-8)
+    # one traced flow gives the records of separate evolutions
+    chord = bare_chord(*tips, action=0.3)
+    times = [0.0, t1, t]
+    rows = evolution_trace(chord, system, chans, times, 0.05)
+    for (s, ev), s_ref in zip(rows, times):
+        ref = evolve_contribution(chord, system, chans, s_ref, 0.05)
+        assert s == s_ref
+        assert len(ev.record.times) == len(ref.record.times)
+        assert_allclose(ev.record.d2, ref.record.d2, rtol=1e-10)
+        assert_allclose(ev.base.x_plus, ref.base.x_plus, rtol=1e-10,
+                        atol=1e-10)
+        assert_allclose(ev.base.x_minus, ref.base.x_minus, rtol=1e-10,
+                        atol=1e-10)
+
+
 def test_energy_channel_never_damps_shell_chords():
     shell = build_shell(harmonic, 0.5)
     chord = [c for c in find_chords(shell, (0.0, 0.5)) if not c.caustic][0]
@@ -271,6 +334,15 @@ def test_trotter_unitary_equals_transport():
     ev_cont = evolve_contribution(chord, harmonic, [], 0.9, 0.05)
     assert ev_split.damping == 1.0
     assert np.max(np.abs(ev_split.base.x_plus - ev_cont.base.x_plus)) < 1e-8
+
+
+def test_trotter_zero_time_is_identity():
+    chord = bare_chord((0.3, 0.9), (-0.1, 0.2), action=0.77)
+    ev = trotter_evolve(chord, quartic, [position_channel()], 0.0, 5, 0.05)
+    assert ev.damping == 1.0 and ev.record.d2 == 0.0
+    assert np.array_equal(ev.base.x_plus, chord.x_plus)
+    assert np.array_equal(ev.base.x_minus, chord.x_minus)
+    assert ev.s_t == 0.77
 
 
 def test_trotter_first_order_convergence():
