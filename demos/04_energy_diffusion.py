@@ -48,9 +48,9 @@ rate = bracket_rate(energy, chan, system)
 rows = []
 print(f"\n  t     eps(t)   [eps0 = {eps0}]")
 for t in np.linspace(0.0, 2.0, 5):
-    win = window_width(eps0, float(t), energy, chan, system, hbar, rate=rate)
-    rows.append({"t": win.t, "epsilon_predicted": win.epsilon})
-    print(f"  {t:.1f}   {win.epsilon:.6f}")
+    eps = window_width(eps0, float(t), energy, chan, system, hbar, rate=rate)
+    rows.append({"t": float(t), "epsilon_predicted": eps})
+    print(f"  {t:.1f}   {eps:.6f}")
 write_diffusion_report(out / "diffusion.csv", rows)
 print(f"-> {out / 'diffusion.csv'} (oracle column left for the comparison "
       "harness)")

@@ -11,7 +11,7 @@ over the exact Wigner function of an oscillator eigenstate.
 """
 import numpy as np
 
-from chordwigner import make_system, pure_state, eval_pure
+from chordwigner import eval_state, make_system, pure_state
 from chordwigner.oracle import moyal_star, hermite_psi, wigner_of_state
 
 hbar = 0.05
@@ -54,7 +54,7 @@ state = pure_state(make_system("harmonic"), hbar, energy=energy)
 print("    p      q      exact        chord sum    rel diff")
 for p0, q0 in ((0.10, 0.20), (0.45, -0.30), (0.00, 0.55)):
     exact = float(wg.interp([p0, q0])[0])
-    sc = eval_pure([p0, q0], state)
+    sc = eval_state([p0, q0], state)
     print(f"  {p0:+.2f}  {q0:+.2f}   {exact:+.6f}   {sc.value:+.6f}"
           f"   {abs(sc.value - exact) / abs(exact):7.1%}")
 print("  (one chord joins each interior point to itself across the "

@@ -19,7 +19,6 @@ from .flow import (  # noqa: F401
     shell_average,
     shell_start,
     skew,
-    triangle_area,
 )
 
 from .shells import (  # noqa: F401
@@ -36,10 +35,7 @@ from .wigner import (  # noqa: F401
     WignerGridResult,
     WignerSample,
     eval_grid,
-    eval_pure,
-    eval_spectral,
     eval_state,
-    mix_states,
     phase_gradient,
     pure_state,
     spectral_state,
@@ -67,9 +63,7 @@ from .lindblad import (  # noqa: F401
 )
 
 from .diffusion import (  # noqa: F401
-    EnergyWindow,
     bracket_rate,
-    short_chord,
     window_width,
     write_diffusion_report,
 )
@@ -78,7 +72,6 @@ from .projection import (  # noqa: F401
     DensityMatrixElement,
     TurningPointError,
     WKBBranch,
-    bessel_correlation,
     density_matrix_sc,
     momentum_rep_element,
     wkb_branches,
@@ -87,9 +80,7 @@ from .projection import (  # noqa: F401
 
 from .normalization import (  # noqa: F401
     AngleIntegralReport,
-    DegenerateSamplingError,
     direct_trace,
-    hessian_limit,
     purity_decay,
     purity_t0,
     run_suite,

@@ -322,9 +322,9 @@ def run_diffusion(cfg: Dict, out: Path) -> List[str]:
     rate = bracket_rate(energy, channels, system)
     rows = []
     for t in times:
-        win = window_width(epsilon0, float(t), energy, channels, system,
+        eps = window_width(epsilon0, float(t), energy, channels, system,
                            hbar, rate=rate)
-        rows.append({"t": win.t, "epsilon_predicted": win.epsilon})
+        rows.append({"t": float(t), "epsilon_predicted": eps})
     write_diffusion_report(out / "diffusion.csv", rows)
     manifest = _write_manifest(
         out, "diffusion", cfg, ["diffusion.csv"],
@@ -335,22 +335,24 @@ def run_diffusion(cfg: Dict, out: Path) -> List[str]:
 
 def run_normalize(cfg: Dict, out: Path) -> List[str]:
     """Keys: system, hbar, shell, optional channels / trace_hbars /
-    decay_times / n_angle / exponent."""
+    decay_times / n_angle.  The purity exponent is D^2/hbar; an
+    "exponent" key other than "hbar" is a configuration error."""
     system = _system_from(cfg)
     hbar = _hbar_from(cfg)
     channels = _channels_from(cfg)
+    if cfg.get("exponent", "hbar") != "hbar":
+        raise ConfigError('the purity exponent is D^2/hbar; "exponent" '
+                          'must be "hbar" or absent')
     shell, energy = _shell_from(cfg, system, hbar)
-    exponent = cfg.get("exponent", "hbar")
     report = run_suite(
         shell, hbar, channels=channels,
         trace_hbars=[float(h) for h in cfg.get("trace_hbars", [])],
         decay_times=[float(t) for t in cfg.get("decay_times", [])],
-        n_angle=int(cfg.get("n_angle", 256)), exponent=exponent)
+        n_angle=int(cfg.get("n_angle", 256)))
     _write_json(out / "normalize.json", report)
-    conv = physical_conventions(purity_exponent=exponent)
     manifest = _write_manifest(
         out, "normalize", cfg, ["normalize.json"],
-        settings={"hbar": hbar, "energy": energy}, conventions=conv)
+        settings={"hbar": hbar, "energy": energy})
     return ["normalize.json", manifest]
 
 

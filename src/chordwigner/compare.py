@@ -203,7 +203,7 @@ def check_diffusion_slope(hbar: float = 0.05, energy: float = 0.5,
     chan = [position_channel()]
     rate = bracket_rate(energy, chan, system)
     eps_final = window_width(epsilon0, t_final, energy, chan, system, hbar,
-                             rate=rate).epsilon
+                             rate=rate)
     predicted = (eps_final**2 - epsilon0**2) / t_final
 
     # headroom above the window: the coupling both heats the mean and grows
@@ -229,7 +229,6 @@ def check_diffusion_slope(hbar: float = 0.05, energy: float = 0.5,
 
 
 def check_purity_decay(hbar: float = 0.05, tolerance: float = 0.10,
-                       exponent: str = "hbar",
                        times: Optional[Sequence[float]] = None
                        ) -> CheckResult:
     """Angle-pair purity decay vs oracle tr rho^2 while purity > 0.5."""
@@ -255,7 +254,7 @@ def check_purity_decay(hbar: float = 0.05, tolerance: float = 0.10,
         if p_or <= 0.5:
             continue
         p_sc = purity_decay(shell, system, [position_channel()], float(tv),
-                            hbar, exponent=exponent).value
+                            hbar).value
         deltas.append(abs(p_sc - p_or) / p_or)
         rows.append({"t": float(tv), "semiclassical": p_sc, "oracle": p_or})
     worst = float(max(deltas)) if deltas else float("nan")
@@ -264,7 +263,7 @@ def check_purity_decay(hbar: float = 0.05, tolerance: float = 0.10,
         name="purity_decay", semiclassical=rows[-1]["semiclassical"],
         oracle=rows[-1]["oracle"], delta=worst, tolerance=tolerance,
         passed=passed,
-        detail={"hbar": hbar, "n_level": n_level, "exponent": exponent,
+        detail={"hbar": hbar, "n_level": n_level, "exponent": "hbar",
                 "rows": rows})
 
 

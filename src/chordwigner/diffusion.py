@@ -1,37 +1,20 @@
-"""Short-chord asymptotics and diffusive growth of the spectral
-energy window under hermitian couplings.
+"""Diffusive growth of the spectral energy window under hermitian
+couplings.
 
 A window of standard deviation eps damps a chord of traversal time tau
-by exp(-(eps tau / hbar)^2 / 2); a hermitian coupling damps it by
-exp(-t rate tau^2 / 2 hbar).  The product is a window whose variance
-grows as eps(t)^2 = eps0^2 + hbar t rate, the classical limit of the
-exact d Var(E)/dt = hbar <{H, L}^2> under the (1/hbar) D[L] dissipator.
+by exp(-(eps tau / hbar)^2 / 2); a hermitian coupling damps a short
+chord by exp(-t rate tau^2 / 2 hbar), where rate is the shell average
+of {H, L}^2.  The product is a window whose variance grows as
+eps(t)^2 = eps0^2 + hbar t rate, the classical limit of the exact
+d Var(E)/dt = hbar <{H, L}^2> under the (1/hbar) D[L] dissipator.
 """
 import csv
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .flow import HamiltonianSystem, J, poisson_bracket, shell_average
+from .flow import HamiltonianSystem, poisson_bracket, shell_average
 from .lindblad import LindbladChannel, _require_hermitian
-
-
-@dataclass(frozen=True)
-class EnergyWindow:
-    energy: float
-    epsilon: float
-    t: float
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("window width must be nonnegative")
-
-
-def short_chord(x, tau: float, system: HamiltonianSystem) -> np.ndarray:
-    """First-order chord of a tip pair separated by time tau: tau * J dH/dx."""
-    x = np.asarray(x, dtype=float)
-    return tau * (J @ system.gradient(x))
 
 
 def bracket_rate(energy: float, channels: Sequence[LindbladChannel],
@@ -53,8 +36,8 @@ def bracket_rate(energy: float, channels: Sequence[LindbladChannel],
 def window_width(epsilon0: float, t: float, energy: float,
                  channels: Sequence[LindbladChannel],
                  system: HamiltonianSystem, hbar: float,
-                 rate: Optional[float] = None) -> EnergyWindow:
-    """Diffusive window growth eps(t)^2 = eps0^2 + hbar t * rate.
+                 rate: Optional[float] = None) -> float:
+    """Window width eps(t) from eps(t)^2 = eps0^2 + hbar t * rate.
 
     Matching the short-chord damping exp(-t rate tau^2 / 2 hbar) to the
     window factor exp(-(eps tau / hbar)^2 / 2) gives the slope
@@ -67,8 +50,7 @@ def window_width(epsilon0: float, t: float, energy: float,
         raise ValueError("epsilon0 and t must be nonnegative")
     if rate is None:
         rate = bracket_rate(energy, channels, system)
-    eps2 = epsilon0**2 + hbar * t * rate
-    return EnergyWindow(energy=energy, epsilon=float(np.sqrt(eps2)), t=t)
+    return float(np.sqrt(epsilon0**2 + hbar * t * rate))
 
 
 def write_diffusion_report(path, rows: Sequence[dict]) -> None:

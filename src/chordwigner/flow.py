@@ -1,10 +1,10 @@
 """Classical phase-space primitives for 1-DOF hamiltonian systems.
 
 Phase points are numpy arrays ``[p, q]`` -- momentum first.  The symplectic
-algebra (skew product, triangle areas, Poisson brackets) and the two
-adaptive DOP853 integrations defined here -- the dense flow of a batch of
-tips and the closed orbit through a point -- are the substrate for
-everything downstream: shell construction, quantization, chord geometry,
+algebra (skew product, Poisson brackets) and the two adaptive DOP853
+integrations defined here -- the dense flow of a batch of tips and the
+closed orbit through a point -- are the substrate for everything
+downstream: shell construction, quantization, chord geometry,
 decoherence integrals.
 """
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "J",
     "skew",
-    "triangle_area",
     "poisson_bracket",
     "HamiltonianSystem",
     "make_system",
@@ -56,16 +55,6 @@ def skew(a, b):
     b = np.asarray(b, dtype=float)
     l = a.shape[-1] // 2
     return np.sum(a[..., :l] * b[..., l:] - a[..., l:] * b[..., :l], axis=-1)
-
-
-def triangle_area(x, x1, x2):
-    """Symplectic area of the (x, x1, x2) triangle, doubled orientation:
-
-        Delta = 2 * (x ^ x1 + x1 ^ x2 + x2 ^ x)
-
-    Antisymmetric under swapping any two vertices.
-    """
-    return 2.0 * (skew(x, x1) + skew(x1, x2) + skew(x2, x))
 
 
 def poisson_bracket(f: Callable, g: Callable, x, step: float = 1e-6):

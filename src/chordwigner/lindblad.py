@@ -182,23 +182,19 @@ def _record(flow: Callable, channels: Sequence[LindbladChannel], t: float,
             n_steps: Optional[int] = None) -> DecoherenceRecord:
     """D_t on [0, t] read off a dense flow of the (x+, x-) tip pair:
     composite Simpson on n_steps (made even) equal intervals, by default
-    one per 1e-3 and at least 64."""
+    one per 1e-3 and at least 64.  At t = 0 the grid is the single node
+    0, where the integrand is sampled and D^2 is 0."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        tips = flow([0.0])
-        return DecoherenceRecord(t=0.0, d2=0.0, times=np.zeros(1),
-                                 integrand=np.zeros(1), traj_plus=tips[:, 0],
-                                 traj_minus=tips[:, 1])
     if n_steps is None:
         n_steps = max(64, int(np.ceil(t / 1e-3)))
     n_steps += n_steps % 2
-    times = np.linspace(0.0, t, n_steps + 1)
+    times = np.linspace(0.0, t, n_steps + 1) if t > 0 else np.zeros(1)
     tips = flow(times)
     tp, tm = tips[:, 0], tips[:, 1]
     g = sum((np.abs(ch(tp) - ch(tm)) ** 2 for ch in channels),
             np.zeros(len(times)))
-    d2 = float(simpson(g, x=times))
+    d2 = float(simpson(g, x=times)) if t > 0 else 0.0
     return DecoherenceRecord(t=t, d2=d2, times=times, integrand=g,
                              traj_plus=tp, traj_minus=tm)
 

@@ -207,13 +207,12 @@ def position_matrix(basis: EigenBasis, f: Optional[Callable] = None):
     return (basis.psis * vals) @ basis.psis.T * basis.dq
 
 
-def momentum_matrix(basis: EigenBasis, power: int = 1):
+def momentum_matrix(basis: EigenBasis):
     n = len(basis.qs)
     k = 2 * np.pi * np.fft.fftfreq(n, d=basis.dq)
-    dpsi = basis.psis.astype(complex)
-    for _ in range(power):
-        dpsi = np.fft.ifft(1j * k * np.fft.fft(dpsi, axis=1), axis=1)
-        dpsi *= -1j * basis.hbar
+    dpsi = np.fft.ifft(1j * k * np.fft.fft(basis.psis.astype(complex),
+                                           axis=1), axis=1)
+    dpsi *= -1j * basis.hbar
     m = basis.psis @ dpsi.T * basis.dq
     return 0.5 * (m + m.conj().T)  # hermitise spectral roundoff
 
@@ -455,9 +454,11 @@ def _star_grid(a: np.ndarray, b: np.ndarray, ps, qs, hbar: float) -> np.ndarray:
 
     With A = sum_k A^(k) e^{ikx}, the product kernel e^{i hbar skew(k,k')/2}
     factorises over the two momentum-index axes, so the double k-sum
-    reduces to one modulated inverse FFT per axis pair: O(N^3) exact in
-    the band-limited periodic representation.  Valid for smooth decaying
-    symbols; rows index q, columns index p.
+    reduces to one modulated inverse FFT per axis pair, exact in the
+    band-limited periodic representation.  The pairs are built one column
+    at a time, as two (N, N) inverse FFTs, so time is O(N^3) and memory
+    O(N^2).  Valid for smooth decaying symbols; rows index q, columns
+    index p.
     """
     nq, npp = a.shape
     fa = np.fft.fft2(a)
@@ -470,12 +471,12 @@ def _star_grid(a: np.ndarray, b: np.ndarray, ps, qs, hbar: float) -> np.ndarray:
     # B by e^{+i alpha a' b}, transform the row axes, then recombine the
     # column indices on their sum lattice.
     e1 = np.exp(-1j * alpha * atil[:, None] * btil[None, :])
-    ha = np.fft.ifft(fa[:, :, None] * e1[:, None, :], axis=0)  # (u, b, b')
-    hb = np.fft.ifft(fb[:, :, None] * np.conj(e1)[:, None, :], axis=0)
     g = np.zeros((nq, npp), dtype=complex)
     cols = np.arange(npp)
     for bcol in range(npp):
-        g[:, (bcol + cols) % npp] += ha[:, bcol, :] * hb[:, :, bcol]
+        ha = np.fft.ifft(fa[:, bcol, None] * e1, axis=0)  # (u, b')
+        hb = np.fft.ifft(fb * np.conj(e1[:, bcol, None]), axis=0)  # (u, b)
+        g[:, (bcol + cols) % npp] += ha * hb
     return np.fft.ifft(g, axis=1) / npp
 
 
@@ -519,8 +520,9 @@ class TruncatedState:
     def dim(self) -> int:
         return len(self.energies)
 
-    def leak(self, top_fraction: float = 0.1) -> float:
-        n_top = max(1, int(round(self.dim * top_fraction)))
+    def leak(self) -> float:
+        """Population in the top tenth of the basis (at least one level)."""
+        n_top = max(1, int(round(self.dim * 0.1)))
         return float(np.real(np.trace(self.rho[-n_top:, -n_top:])))
 
 

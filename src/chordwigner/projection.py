@@ -7,13 +7,15 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gamma, jv
 
 from .flow import HamiltonianSystem, NumericalError
 from .lindblad import LindbladChannel, _require_shell_dynamics, shell_d2
 from .shells import ShellSpec, build_shell
 
 TWO_PI = 2.0 * np.pi
+# a query within this fraction of the allowed q span of a turning point
+# gets the single flagged turning branch
+_TURNING_TOL = 1e-6
 
 
 class TurningPointError(NumericalError):
@@ -61,12 +63,11 @@ def _turning_angles(shell: ShellSpec) -> Tuple[float, float]:
     return out[0], out[1]
 
 
-def wkb_branches(q: float, shell: ShellSpec,
-                 turning_tol: float = 1e-6) -> List[WKBBranch]:
+def wkb_branches(q: float, shell: ShellSpec) -> List[WKBBranch]:
     """All shell momenta over the position q with amplitudes and actions.
 
     Empty outside the classically allowed region; a single flagged
-    branch within turning_tol of a turning point.
+    branch within _TURNING_TOL of the span from a turning point.
     """
     th_left, th_right = _turning_angles(shell)
     if th_right < th_left:        # unwrap so the two arcs are ordered
@@ -74,11 +75,11 @@ def wkb_branches(q: float, shell: ShellSpec,
     q_left = float(shell.point(th_left)[1])
     q_right = float(shell.point(th_right)[1])
     span = q_right - q_left
-    if q < q_left - turning_tol * span or q > q_right + turning_tol * span:
+    if q < q_left - _TURNING_TOL * span or q > q_right + _TURNING_TOL * span:
         return []
 
     for th_t, q_t in ((th_left, q_left), (th_right, q_right)):
-        if abs(q - q_t) <= turning_tol * span:
+        if abs(q - q_t) <= _TURNING_TOL * span:
             p_t = float(shell.point(th_t)[0])
             return [WKBBranch(j=0, q=q_t, p=p_t, amplitude=np.nan,
                               action=float(
@@ -202,19 +203,6 @@ def momentum_rep_element(p_plus: float, p_minus: float, shell: ShellSpec,
     sw_shell, sw_channels = swapped_shell(shell, channels)
     return density_matrix_sc(p_plus, p_minus, sw_shell, sw_shell.system,
                              sw_channels, t, hbar)
-
-
-def bessel_correlation(separation: float, p: float, hbar: float,
-                       l: int = 2) -> float:
-    """Short-chord correlation J_nu(z)/z^nu, nu = l/2 - 1, z = p*sep/hbar,
-    normalized to 1 at z = 0."""
-    nu = 0.5 * l - 1.0
-    z = abs(p * separation / hbar)
-    norm = 2.0**nu * gamma(nu + 1.0)
-    if z < 1e-8:
-        # J_nu(z)/z^nu -> 1/(2^nu Gamma(nu+1)) (1 - z^2/(4(nu+1)) + ...)
-        return float(1.0 - z * z / (4.0 * (nu + 1.0)))
-    return float(jv(nu, z) / z**nu * norm)
 
 
 def write_element_grid(path, elements: Sequence[DensityMatrixElement]) -> None:

@@ -35,8 +35,10 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 # Points per block of the batched chord search.  It bounds the working
 # arrays: the even-odd test holds block x n_samples values, the seed
-# scan block x n_scan^2.
+# scan block x _N_SCAN^2.
 _BLOCK = 16
+# Shell samples per axis of the midpoint scan that seeds the Newton.
+_N_SCAN = 64
 
 
 @dataclass
@@ -235,8 +237,7 @@ def _newton_tips(shell: ShellSpec, x, tm, tp, hcell: float):
     return ok
 
 
-def _search_chords(shell: ShellSpec, xs, n_scan: int = 64,
-                   caustic_tol: float = 1e-3):
+def _search_chords(shell: ShellSpec, xs, caustic_tol: float = 1e-3):
     """(chords, dropped) for the points xs (n, 2): chords[k] is what
     find_chords gives for xs[k], dropped[k] counts its Newton seeds that
     did not converge.  The on-shell and inside tests run over all points,
@@ -249,7 +250,7 @@ def _search_chords(shell: ShellSpec, xs, n_scan: int = 64,
     for b in range(0, n, _BLOCK):
         live[b:b + _BLOCK] |= shell.contains(xs[b:b + _BLOCK])
 
-    stride = max(1, shell.n_samples // n_scan)
+    stride = max(1, shell.n_samples // _N_SCAN)
     sub, thg = shell.points[::stride], shell.theta[::stride]
     hcell = TWO_PI / len(thg)
     mid = 0.5 * (sub[:, None, :] + sub[None, :, :])
@@ -308,9 +309,8 @@ def _search_chords(shell: ShellSpec, xs, n_scan: int = 64,
     return chords, dropped
 
 
-def find_chords(shell: ShellSpec, x, n_scan: int = 64,
-                caustic_tol: float = 1e-3,
-                hbar: Optional[float] = None) -> List[Chord]:
+def find_chords(shell: ShellSpec, x,
+                caustic_tol: float = 1e-3) -> List[Chord]:
     """All shell chords whose midpoint is x.
 
     A coarse midpoint scan seeds damped Newton iterations on the tip
@@ -319,25 +319,20 @@ def find_chords(shell: ShellSpec, x, n_scan: int = 64,
     chords; a point on the shell owns a single zero-length chord, flagged
     as caustic.
     """
-    found = _search_chords(shell, np.asarray(x, dtype=float)[None],
-                           n_scan, caustic_tol)[0][0]
-    if hbar is not None:
-        for c in found:
-            if not c.caustic:
-                c.amplitude = chord_amplitude(c, hbar)
-    return found
+    return _search_chords(shell, np.asarray(x, dtype=float)[None],
+                          caustic_tol)[0][0]
 
 
-def chord_amplitude(chord: Chord, hbar: float, dof: int = 1,
+def chord_amplitude(chord: Chord, hbar: float,
                     amplitude_scale: float = 1.0) -> float:
-    """Stationary-phase amplitude  [2 / (pi sqrt(2 pi hbar))]^dof / sqrt|wedge|.
+    """Stationary-phase amplitude  2 / (pi sqrt(2 pi hbar)) / sqrt|wedge|.
 
     Undefined on caustic (vanishing-wedge) chords: callers must branch on
     the caustic flag instead of consuming a garbage number.
     """
     if chord.caustic:
         raise NumericalError("amplitude undefined on a caustic chord")
-    pref = (2.0 / (np.pi * np.sqrt(2.0 * np.pi * hbar))) ** dof
+    pref = 2.0 / (np.pi * np.sqrt(2.0 * np.pi * hbar))
     a = pref / np.sqrt(abs(chord.wedge))
     chord.amplitude = amplitude_scale * a
     return chord.amplitude

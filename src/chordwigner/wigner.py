@@ -6,10 +6,8 @@ sum_k A_k cos(S_k/hbar - maslov).  A spectral state smooths the same
 sum with an energy-window factor per chord traversal time.
 """
 import csv
-import json
-import hashlib
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -68,10 +66,6 @@ class SemiclassicalState:
             raise ValueError("window width must be nonnegative")
         if self.window_shape not in ("gaussian", "lorentzian"):
             raise ValueError(f"unknown window shape {self.window_shape!r}")
-
-    @property
-    def is_pure(self) -> bool:
-        return self.epsilon == 0.0
 
     def conventions(self) -> dict:
         return {
@@ -156,38 +150,6 @@ def eval_state(x, state: SemiclassicalState) -> WignerSample:
     return _sample(state, x, chords[0], dropped[0])
 
 
-def eval_pure(x, state: SemiclassicalState) -> WignerSample:
-    if not state.is_pure:
-        raise ValueError("state has a nonzero energy window; use eval_spectral")
-    return eval_state(x, state)
-
-
-def eval_spectral(x, state: SemiclassicalState) -> WignerSample:
-    return eval_state(x, state)
-
-
-def mix_states(weights: Sequence[float],
-               samples: Sequence[WignerSample]) -> WignerSample:
-    """Pointwise weighted superposition of samples at a common point."""
-    if len(weights) != len(samples):
-        raise ValueError("weights and samples differ in length")
-    if not samples:
-        raise ValueError("nothing to mix")
-    x0 = samples[0].x
-    for s in samples[1:]:
-        if not np.allclose(s.x, x0, atol=1e-12):
-            raise ValueError("samples evaluated at different points")
-    contribs = []
-    for w, s in zip(weights, samples):
-        for c in s.contributions:
-            amp = c.amplitude if c.caustic else w * c.amplitude
-            contribs.append(replace(c, amplitude=amp))
-    value = float(sum(w * s.value for w, s in zip(weights, samples)))
-    return WignerSample(x=x0, value=value, contributions=tuple(contribs),
-                        caustic_flag=any(s.caustic_flag for s in samples),
-                        dropped_seeds=sum(s.dropped_seeds for s in samples))
-
-
 @dataclass
 class WignerGridResult:
     ps: np.ndarray
@@ -221,14 +183,6 @@ class WignerGridResult:
                            len(self.qs)]},
             "conventions": self.state.conventions(),
         }
-
-    def write_manifest(self, path) -> None:
-        payload = self.manifest()
-        body = json.dumps(payload, indent=2, sort_keys=True)
-        payload["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def eval_grid(state: SemiclassicalState, ps, qs) -> WignerGridResult:

@@ -6,8 +6,7 @@ import sys
 import pytest
 
 from chordwigner import (build_shell, chord_amplitude, find_chords,
-                         hessian_limit, make_system, momentum_rep_element,
-                         position_channel)
+                         make_system, momentum_rep_element, position_channel)
 from chordwigner.cli import (COMMANDS, ConfigError, load_config, main,
                              physical_conventions)
 
@@ -122,6 +121,19 @@ def test_normalize_report(tmp_path):
     assert man["conventions"]["purity_exponent"] == "hbar"
 
 
+def test_normalize_rejects_other_exponents(tmp_path):
+    # the purity exponent is D^2/hbar; "hbar" is accepted, nothing else
+    base = {"system": "harmonic", "hbar": 0.05, "shell": {"energy": 0.5},
+            "channels": ["q"], "decay_times": [0.25], "n_angle": 64}
+    ok = write_cfg(tmp_path / "ok.json", {**base, "exponent": "hbar"})
+    assert main(["normalize", "--config", ok, "--out", str(tmp_path)]) == 0
+    for exponent in ("half", "bare"):
+        cfg = write_cfg(tmp_path / f"{exponent}.json",
+                        {**base, "exponent": exponent})
+        assert main(["normalize", "--config", cfg,
+                     "--out", str(tmp_path)]) == 2
+
+
 def test_oracle_compare_subset(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", {"checks": ["cat_rate"]})
     assert main(["oracle-compare", "--config", cfg,
@@ -193,15 +205,12 @@ def test_numerical_failures_exit_3(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 3
 
     # numerical ValueErrors raised inside any command exit 3, not 2: a
-    # caustic chord amplitude and an unresolvable small-chord hessian
+    # caustic chord amplitude
     shell = build_shell(make_system("harmonic"), 0.5)
     on_shell = find_chords(shell, shell.points[0])[0]
-    for failure in (lambda: chord_amplitude(on_shell, 0.05),
-                    lambda: hessian_limit(shell, 0.7, delta=0.0)):
-        monkeypatch.setitem(COMMANDS, "project",
-                            lambda cfg, out, failure=failure: failure())
-        assert main(["project", "--config", turning,
-                     "--out", str(tmp_path)]) == 3
+    monkeypatch.setitem(COMMANDS, "project",
+                        lambda cfg, out: chord_amplitude(on_shell, 0.05))
+    assert main(["project", "--config", turning, "--out", str(tmp_path)]) == 3
 
 
 def test_project_momentum_matches_element_api(tmp_path):
@@ -236,8 +245,8 @@ def test_load_config_rejects_non_object(tmp_path):
 
 
 def test_conventions_overridable():
-    conv = physical_conventions(purity_exponent="half")
-    assert conv["purity_exponent"] == "half"
+    conv = physical_conventions(maslov_offset=0.0)
+    assert conv["maslov_offset"] == 0.0
     assert conv["phase_space_order"] == "(p, q)"
 
 

@@ -1,13 +1,11 @@
-"""Short-chord geometry and the energy-window growth law."""
+"""The shell-averaged bracket rate and the energy-window growth law."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from chordwigner import make_system
 from chordwigner.diffusion import (
-    EnergyWindow,
     bracket_rate,
-    short_chord,
     window_width,
     write_diffusion_report,
 )
@@ -23,27 +21,6 @@ from chordwigner.lindblad import (
 from chordwigner.shells import Chord
 
 harmonic = make_system("harmonic")
-quartic = make_system("quartic")
-
-
-def test_short_chord_examples():
-    assert_allclose(short_chord((0.0, 1.0), 0.1, harmonic), [-0.1, 0.0],
-                    atol=1e-12)
-    assert np.all(short_chord((0.3, -0.2), 0.0, harmonic) == 0.0)
-
-
-def test_short_chord_third_order_accurate():
-    x = np.array([0.4, 0.7])
-    errs = []
-    for tau in (0.2, 0.1, 0.05):
-        fwd = hamiltonian_flow(quartic, x, tau / 2, dt=tau / 200).final
-        back_traj = hamiltonian_flow(
-            quartic, np.array([-x[0], x[1]]), tau / 2, dt=tau / 200).final
-        # time reversal (p -> -p) turns backward flow into forward flow
-        back = np.array([-back_traj[0], back_traj[1]])
-        exact = fwd - back
-        errs.append(np.linalg.norm(short_chord(x, tau, quartic) - exact))
-    assert errs[0] / errs[1] > 6.0 and errs[1] / errs[2] > 6.0
 
 
 def test_bracket_rate_position_channel():
@@ -65,22 +42,23 @@ def test_bracket_rate_both_quadratures():
 
 
 def test_window_width_example_and_linearity():
-    ew = window_width(0.1, 0.0, 0.5, [position_channel()], harmonic, 0.05)
-    assert ew.epsilon == 0.1
-    ew = window_width(0.1, 2.0, 0.5, [position_channel()], harmonic, 0.05)
-    assert_allclose(ew.epsilon**2, 0.06, atol=1e-7)
-    assert_allclose(ew.epsilon, 0.244949, atol=1e-4)
+    eps = window_width(0.1, 0.0, 0.5, [position_channel()], harmonic, 0.05)
+    assert eps == 0.1
+    eps = window_width(0.1, 2.0, 0.5, [position_channel()], harmonic, 0.05)
+    assert_allclose(eps**2, 0.06, atol=1e-7)
+    assert_allclose(eps, 0.244949, atol=1e-4)
     # growth is exactly linear in t with slope hbar * rate
     rate = bracket_rate(0.5, [position_channel()], harmonic)
     for t in (0.3, 1.1, 1.9):
-        ew_t = window_width(0.1, t, 0.5, [position_channel()], harmonic, 0.05)
-        assert_allclose(ew_t.epsilon**2 - 0.01, 0.05 * t * rate,
+        eps_t = window_width(0.1, t, 0.5, [position_channel()], harmonic,
+                             0.05)
+        assert_allclose(eps_t**2 - 0.01, 0.05 * t * rate,
                         atol=1e-12)
 
 
 def test_window_width_coupling_scaling():
     grow = lambda c: window_width(
-        0.0, 1.0, 0.5, [position_channel(c)], harmonic, 0.05).epsilon**2
+        0.0, 1.0, 0.5, [position_channel(c)], harmonic, 0.05)**2
     assert_allclose(grow(2.0), 4.0 * grow(1.0), rtol=1e-9)
 
 
@@ -107,9 +85,9 @@ def test_short_chord_bridges_decay_rate():
 
 def test_energy_window_validation():
     with pytest.raises(ValueError):
-        EnergyWindow(energy=0.5, epsilon=-0.1, t=0.0)
-    with pytest.raises(ValueError):
         window_width(-0.1, 1.0, 0.5, [], harmonic, 0.05)
+    with pytest.raises(ValueError):
+        window_width(0.1, -1.0, 0.5, [], harmonic, 0.05)
 
 
 def test_diffusion_report_csv(tmp_path):

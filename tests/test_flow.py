@@ -18,7 +18,6 @@ from chordwigner import (
     shell_average,
     shell_start,
     skew,
-    triangle_area,
 )
 from chordwigner.flow import _closed_orbit
 
@@ -38,21 +37,6 @@ def test_skew_antisymmetry():
     b = rng.normal(size=(50, 2))
     assert_allclose(skew(a, b), -skew(b, a), atol=1e-14)
     assert_allclose(skew(a, a), 0.0, atol=1e-14)
-
-
-def test_triangle_area_example():
-    assert triangle_area((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)) == 2.0
-
-
-def test_triangle_area_properties():
-    rng = np.random.default_rng(11)
-    x, x1, x2 = rng.normal(size=(3, 40, 2))
-    c = rng.normal(size=(1, 2))
-    # antisymmetric under vertex swap, invariant under translation
-    assert_allclose(triangle_area(x, x1, x2), -triangle_area(x1, x, x2),
-                    atol=1e-12)
-    assert_allclose(triangle_area(x + c, x1 + c, x2 + c),
-                    triangle_area(x, x1, x2), atol=1e-12)
 
 
 def test_poisson_bracket_canonical():

@@ -121,6 +121,18 @@ def test_distance_trivial_cases():
     assert rec.t == 0.0 and rec.d2 == 0.0
 
 
+def test_distance_zero_time_samples_the_integrand():
+    # at t = 0 the one-node record still holds |L(x+) - L(x-)|^2, the
+    # first node of any t > 0 record
+    qchan = position_channel()
+    tips = ((0.5, 0.3), (-0.2, 0.1), harmonic, [qchan])
+    rec0 = decoherence_distance(*tips, 0.0)
+    rec1 = decoherence_distance(*tips, 1e-9)
+    assert rec0.d2 == 0.0
+    assert_allclose(rec0.integrand, [0.04], rtol=1e-12)
+    assert_allclose(rec0.integrand, rec1.integrand[:1], rtol=1e-12)
+
+
 def test_distance_harmonic_closed_form():
     # rigid rotation: q+ - q- = |xi| sin t', so D^2(t) = |xi|^2 (t/2 - sin 2t / 4)
     qchan = position_channel()

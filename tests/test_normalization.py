@@ -1,4 +1,4 @@
-"""Angle-pair purity, trace and hessian checks."""
+"""Angle-pair purity and trace checks."""
 import json
 
 import numpy as np
@@ -13,9 +13,7 @@ from chordwigner.lindblad import (
 )
 from chordwigner.normalization import (
     AngleIntegralReport,
-    DegenerateSamplingError,
     direct_trace,
-    hessian_limit,
     purity_decay,
     purity_t0,
     run_suite,
@@ -47,8 +45,6 @@ def test_purity_t0_is_one_for_any_shell():
 
 
 def test_purity_t0_refinement_and_scaling():
-    assert abs(purity_t0(SHELL, HBAR, n=64)
-               - purity_t0(SHELL, HBAR, n=128)) < 1e-10
     assert purity_t0(SHELL, HBAR, amplitude_scale=1.3) == pytest.approx(
         1.69, abs=1e-12)
 
@@ -94,16 +90,6 @@ def test_purity_decay_small_time_rate():
     assert 1.0 - rep.value == pytest.approx(t * mean_dl2 / HBAR, rel=0.01)
 
 
-def test_purity_decay_exponent_conventions():
-    args = (SHELL, HARM, [position_channel()], 0.8, HBAR)
-    p_hbar = purity_decay(*args, n_angle=128, exponent="hbar").value
-    p_half = purity_decay(*args, n_angle=128, exponent="half").value
-    p_bare = purity_decay(*args, n_angle=128, exponent="bare").value
-    assert p_hbar < p_half < p_bare
-    with pytest.raises(ValueError):
-        purity_decay(*args, exponent="nope")
-
-
 def test_purity_decay_rejects_nonhermitian():
     ladder = polynomial_channel({(1, 0): 1j, (0, 1): 1.0})
     with pytest.raises(NonHermitianError):
@@ -144,24 +130,6 @@ def test_direct_trace_system_independent():
     vq = direct_trace(shq, 0.025).value
     vh = direct_trace(SHELL2, 0.025).value
     assert abs(vq - vh) / abs(vh) < 0.05
-
-
-def test_hessian_limit_matches_fd():
-    for theta in (0.0, 0.7, 2.9):
-        fd, lim = hessian_limit(SHELL, theta)
-        assert abs(fd - lim) < 1e-4
-        assert lim > 0
-
-
-def test_hessian_limit_energy_scaling():
-    _, l1 = hessian_limit(SHELL, 0.7)
-    _, l4 = hessian_limit(SHELL2, 0.7)
-    assert l4 / l1 == pytest.approx(4.0, rel=1e-3)
-
-
-def test_hessian_limit_degenerate():
-    with pytest.raises(DegenerateSamplingError):
-        hessian_limit(SHELL, 0.7, delta=0.0)
 
 
 def test_run_suite_json():

@@ -2,14 +2,12 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import jn_zeros
 
 from chordwigner import build_shell, make_system
 from chordwigner.flow import polynomial_system
 from chordwigner.lindblad import momentum_channel, position_channel
 from chordwigner.projection import (
     TurningPointError,
-    bessel_correlation,
     density_matrix_sc,
     momentum_rep_element,
     swapped_system,
@@ -159,21 +157,6 @@ def test_momentum_rep_harmonic_decay_closed_form():
     e1 = momentum_rep_element(0.4, 0.15, SHELL, HARM, chan, 0.7, HBAR)
     sw_shell = build_shell(swapped_system(HARM), 0.5)
     assert_rotation_damping(e0, e1, sw_shell, 0.4, 0.15, 0.7)
-
-
-def test_bessel_correlation_forms():
-    assert bessel_correlation(0.0, 1.0, HBAR) == 1.0
-    # l = 2 is J_0: first zero of the correlation at the first J_0 zero
-    z1 = jn_zeros(0, 1)[0]
-    assert bessel_correlation(z1 * HBAR, 1.0, HBAR) == pytest.approx(
-        0.0, abs=1e-12)
-    zs = np.linspace(0.1, 6.0, 23)
-    for z in zs:
-        sep = z * HBAR
-        assert bessel_correlation(sep, 1.0, HBAR, l=3) == pytest.approx(
-            np.sin(z) / z, abs=1e-12)
-        assert bessel_correlation(sep, 1.0, HBAR, l=1) == pytest.approx(
-            np.cos(z), abs=1e-12)
 
 
 def test_write_element_grid(tmp_path):

@@ -9,10 +9,7 @@ from chordwigner import make_system
 from chordwigner.oracle import solve_eigenstates, weyl_transform, DensityGrid
 from chordwigner.wigner import (
     eval_grid,
-    eval_pure,
-    eval_spectral,
     eval_state,
-    mix_states,
     pure_state,
     spectral_state,
     window_factor,
@@ -24,7 +21,7 @@ quartic = make_system("quartic")
 
 def test_interior_point_single_chord_values():
     st = pure_state(harmonic, hbar=0.05, energy=0.5)
-    s = eval_pure((0.0, 0.5), st)
+    s = eval_state((0.0, 0.5), st)
     assert len(s.contributions) == 1 and not s.caustic_flag
     c = s.contributions[0]
     assert_allclose(c.action, 0.6142, atol=1e-4)
@@ -36,7 +33,7 @@ def test_interior_point_single_chord_values():
 
 def test_outside_shell_empty():
     st = pure_state(harmonic, hbar=0.05, energy=0.5)
-    s = eval_pure((0.0, 1.5), st)
+    s = eval_state((0.0, 1.5), st)
     assert s.value == 0.0 and s.contributions == () and not s.caustic_flag
 
 
@@ -107,29 +104,13 @@ def test_spectral_reduces_to_pure_and_ratio():
     pure = pure_state(harmonic, hbar=0.05, energy=0.5)
     zero_eps = spectral_state(harmonic, 0.5, 0.0, 0.05)
     x = (0.0, 0.5)
-    assert_allclose(eval_spectral(x, zero_eps).value, eval_pure(x, pure).value,
+    assert_allclose(eval_state(x, zero_eps).value, eval_state(x, pure).value,
                     atol=1e-12)
     sp = spectral_state(harmonic, 0.5, 0.02, 0.05)
-    cp = eval_pure(x, pure).contributions[0]
-    cs = eval_spectral(x, sp).contributions[0]
+    cp = eval_state(x, pure).contributions[0]
+    cs = eval_state(x, sp).contributions[0]
     assert_allclose(cs.value / cp.value,
                     window_factor(cp.tau, 0.02, 0.05), atol=1e-12)
-
-
-def test_mix_identity_linearity_and_errors():
-    st = pure_state(harmonic, hbar=0.05, energy=0.5)
-    s = eval_pure((0.2, 0.3), st)
-    ident = mix_states([1.0], [s])
-    assert ident.value == s.value
-    neg = mix_states([-1.0], [s])
-    assert mix_states([0.5, 0.5], [s, neg]).value == 0.0
-    s2 = eval_pure((0.2, 0.3), pure_state(harmonic, hbar=0.05, energy=0.3))
-    combo = mix_states([0.3, 0.7], [s, s2])
-    assert_allclose(combo.value, 0.3 * s.value + 0.7 * s2.value, atol=1e-15)
-    with pytest.raises(ValueError):
-        mix_states([1.0, 0.5], [s])
-    with pytest.raises(ValueError):
-        mix_states([0.5, 0.5], [s, eval_pure((0.1, 0.1), st)])
 
 
 def test_oscillation_wavelength_matches_phase_gradient():
@@ -166,12 +147,9 @@ def test_grid_eval_emission(tmp_path):
     assert csv_a.read_bytes() == csv_b.read_bytes()
     head = csv_a.read_text().splitlines()[0]
     assert head == "p,q,W,n_chords,caustic_flag"
-    man = tmp_path / "m.json"
-    res.write_manifest(man)
-    import json
-    payload = json.loads(man.read_text())
+    payload = res.manifest()
     assert payload["hbar"] == 0.05 and payload["epsilon"] == 0.02
-    assert "maslov" in payload["conventions"] and "sha256" in payload
+    assert "maslov" in payload["conventions"]
 
 
 def test_eigenshell_mixture_matches_oracle():
@@ -188,9 +166,8 @@ def test_eigenshell_mixture_matches_oracle():
     qs = np.linspace(0.5, 3.6, 40)
     sc, ex = [], []
     for q in qs:
-        m = mix_states([0.5, 0.5], [eval_state((0.0, q), st9),
-                                    eval_state((0.0, q), st10)])
-        sc.append(m.value)
+        sc.append(0.5 * eval_state((0.0, q), st9).value
+                  + 0.5 * eval_state((0.0, q), st10).value)
         ex.append(float(wg.interp([(0.0, q)])[0]))
     sc, ex = np.array(sc), np.array(ex)
     scale = np.max(np.abs(ex))
