@@ -30,7 +30,7 @@ from .oracle import (
 )
 from .projection import density_matrix_sc, wkb_branches
 from .shells import Chord, _search_chords, build_shell, quantize_energy
-from .wigner import SemiclassicalState, _contribution
+from .wigner import SemiclassicalState, _terms
 
 
 @dataclass
@@ -119,21 +119,16 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
              if 0.15 * r <= np.hypot(wg.ps[k], wg.q_centres[s]) <= 0.82 * r]
     xs = np.array([[wg.ps[k], wg.q_centres[s]] for s, k in cells],
                   dtype=float).reshape(-1, 2)
-    zs: List[complex] = []
-    refs: List[float] = []
-    for (s, k), chords in zip(cells, _search_chords(
-            shell, xs, caustic_tol=state.caustic_tol)[0]):
-        if not chords or any(c.caustic for c in chords):
-            continue
-        if min(abs(c.wedge) for c in chords) < wedge_floor:
-            continue
-        contribs = [_contribution(state, c) for c in chords]
-        z = sum(c.amplitude * c.window * np.exp(1j * c.phase)
-                for c in contribs)
-        zs.append(complex(z))
-        refs.append(float(wg.w[s, k]))
-    z_arr = np.asarray(zs)
-    ref = np.asarray(refs)
+    # points with a caustic or near-caustic chord are left out
+    found = _search_chords(shell, xs, caustic_tol=state.caustic_tol)
+    amp, win, phase = _terms(state, found)
+    z = np.zeros(len(xs), dtype=complex)
+    np.add.at(z, found.owner, amp * win * np.exp(1j * phase))
+    skip = found.caustic | (np.abs(found.wedge) < wedge_floor)
+    use = ((np.bincount(found.owner, minlength=len(xs)) > 0)
+           & (np.bincount(found.owner[skip], minlength=len(xs)) == 0))
+    z_arr = z[use]
+    ref = np.array([wg.w[s, k] for s, k in cells], dtype=float)[use]
     phis = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
     resid = [float(np.sum((np.real(z_arr * np.exp(-1j * f)) - ref) ** 2))
              for f in phis]
@@ -152,7 +147,7 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
     return CheckResult(
         name="eigenstate_wigner", semiclassical=float(np.max(np.abs(w_sc))),
         oracle=peak, delta=delta, tolerance=tolerance, passed=passed,
-        detail={"n_level": n_level, "hbar": hbar, "n_points": len(refs),
+        detail={"n_level": n_level, "hbar": hbar, "n_points": len(ref),
                 "fitted_maslov": phi_star, "maslov_error": float(maslov_err),
                 "maslov_tolerance": maslov_tol})
 

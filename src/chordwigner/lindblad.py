@@ -14,7 +14,7 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .flow import HamiltonianSystem, _tip_flow
-from .shells import TWO_PI, Chord, ShellSpec
+from .shells import TWO_PI, Chord, ShellSpec, chord_amplitude
 
 
 class NonHermitianError(ValueError):
@@ -118,9 +118,11 @@ def lindblad_rate(chord: Chord, channels: Sequence[LindbladChannel],
 
     (A/hbar) sum_j { Re[L_j(x+) L_j(x-)* e^{iS/hbar}]
                      - (|L_j(x+)|^2 + |L_j(x-)|^2)/2 * cos(S/hbar) }
+
+    A is amplitude when given, else chord_amplitude(chord, hbar), which
+    raises NumericalError on a caustic chord.
     """
-    a = amplitude if amplitude is not None else (
-        chord.amplitude if chord.amplitude is not None else 1.0)
+    a = amplitude if amplitude is not None else chord_amplitude(chord, hbar)
     phase = chord.action / hbar
     total = 0.0
     for ch in channels:

@@ -9,7 +9,7 @@ traversal time are the raw material of the semiclassical construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -39,6 +39,9 @@ TWO_PI = 2.0 * np.pi
 _BLOCK = 16
 # Shell samples per axis of the midpoint scan that seeds the Newton.
 _N_SCAN = 64
+# Seeds per damped Newton solve.  It bounds the solve's working arrays
+# (about 200 B per seed); a 41x41 grid fits in one solve.
+_NEWTON_BATCH = 16384
 
 
 @dataclass
@@ -53,8 +56,7 @@ class ShellSpec:
     points: np.ndarray         # (n, 2) on-shell samples
     area: float                # oint p dq
     closure_error: float
-    _psp: CubicSpline = field(repr=False, default=None)
-    _qsp: CubicSpline = field(repr=False, default=None)
+    _xsp: CubicSpline = field(repr=False, default=None)  # (p, q) columns
     _fsp: CubicSpline = field(repr=False, default=None)  # periodic part of F
     _fmean: float = 0.0        # F(theta) = _fmean*theta + periodic part
     speed_scale: float = 1.0   # max |dx/dtheta|^2, for caustic thresholds
@@ -63,13 +65,11 @@ class ShellSpec:
 
     def point(self, theta):
         """Shell point(s) at angle theta (any real, wrapped mod 2pi)."""
-        th = np.asarray(theta, dtype=float) % TWO_PI
-        return np.stack([self._psp(th), self._qsp(th)], axis=-1)
+        return self._xsp(np.asarray(theta, dtype=float) % TWO_PI)
 
     def velocity_theta(self, theta):
         """dx/dtheta, the angle-flow tip velocity (T/2pi times J grad H)."""
-        th = np.asarray(theta, dtype=float) % TWO_PI
-        return np.stack([self._psp(th, 1), self._qsp(th, 1)], axis=-1)
+        return self._xsp(np.asarray(theta, dtype=float) % TWO_PI, 1)
 
     def action_integral(self, theta):
         """F(theta) = cumulative oint p dq from theta = 0 (not wrapped)."""
@@ -101,18 +101,28 @@ class ShellSpec:
                - np.asarray(theta_minus, dtype=float)) % TWO_PI
         return dth * self.period / TWO_PI
 
-    def theta_of_point(self, x, theta0: Optional[float] = None) -> float:
-        """Angle of an (approximately) on-shell point."""
+    def theta_of_point(self, x):
+        """Angles of (approximately) on-shell points x, a stack (..., 2).
+
+        Eight Newton steps on (point(theta) - x) . dx/dtheta = 0 from the
+        nearest sample; raises NumericalError where the step that would
+        follow is still above 1e-10 rad.
+        """
         x = np.asarray(x, dtype=float)
-        if theta0 is None:
-            i = int(np.argmin(np.sum((self.points - x) ** 2, axis=-1)))
-            th = self.theta[i]
-        else:
-            th = float(theta0)
-        for _ in range(8):
-            r = self.point(th) - x
+
+        def newton_step(th):
             v = self.velocity_theta(th)
-            th -= float(np.dot(r, v) / np.dot(v, v))
+            return (np.sum((self.point(th) - x) * v, axis=-1)
+                    / np.sum(v * v, axis=-1))
+
+        d2 = np.sum((self.points - x[..., None, :]) ** 2, axis=-1)
+        th = self.theta[np.argmin(d2, axis=-1)]
+        for _ in range(8):
+            th = th - newton_step(th)
+        stalled = np.abs(newton_step(th)) > 1e-10
+        if np.any(stalled):
+            raise NumericalError("theta_of_point did not converge at "
+                                 f"{x[stalled].tolist()}")
         return th % TWO_PI
 
     def contains(self, x):
@@ -143,7 +153,6 @@ class Chord:
     tau: float                 # traversal time along the short arc
     caustic: bool              # |wedge| below threshold: amplitude invalid
     degenerate: bool = False   # zero-length chord (x on the shell)
-    amplitude: Optional[float] = None
 
     @property
     def centre(self):
@@ -190,17 +199,17 @@ def build_shell(system: HamiltonianSystem, energy: float,
     fper -= fper[0]
 
     theta_ext = np.append(theta, TWO_PI)
-    wrap = lambda v: np.append(v, v[0])
-    psp = CubicSpline(theta_ext, wrap(p), bc_type="periodic")
-    qsp = CubicSpline(theta_ext, wrap(q), bc_type="periodic")
-    fsp = CubicSpline(theta_ext, wrap(fper), bc_type="periodic")
+    xsp = CubicSpline(theta_ext, np.append(pts, pts[:1], axis=0),
+                      bc_type="periodic")
+    fsp = CubicSpline(theta_ext, np.append(fper, fper[0]),
+                      bc_type="periodic")
 
-    speed2 = psp(theta, 1) ** 2 + qsp(theta, 1) ** 2
+    speed2 = np.sum(xsp(theta, 1) ** 2, axis=-1)
     shell = ShellSpec(
         system=system, energy=float(energy), period=period,
         n_samples=n_samples, theta=theta, points=pts,
         area=fmean * TWO_PI, closure_error=closure,
-        _psp=psp, _qsp=qsp, _fsp=fsp, _fmean=fmean,
+        _xsp=xsp, _fsp=fsp, _fmean=fmean,
         speed_scale=float(np.max(speed2)),
     )
     return shell
@@ -237,76 +246,115 @@ def _newton_tips(shell: ShellSpec, x, tm, tp, hcell: float):
     return ok
 
 
-def _search_chords(shell: ShellSpec, xs, caustic_tol: float = 1e-3):
-    """(chords, dropped) for the points xs (n, 2): chords[k] is what
-    find_chords gives for xs[k], dropped[k] counts its Newton seeds that
-    did not converge.  The on-shell and inside tests run over all points,
-    the seed scan, Newton and chord fields over blocks of _BLOCK."""
+class _ChordArrays(NamedTuple):
+    """The chords of a batch of points, one entry per chord, grouped by
+    owner (the index of the point) in ascending order and, within a
+    point, by short-arc length; dropped[k] counts point k's Newton seeds
+    that did not converge."""
+
+    owner: np.ndarray
+    theta_minus: np.ndarray
+    theta_plus: np.ndarray
+    action: np.ndarray
+    wedge: np.ndarray
+    tau: np.ndarray
+    caustic: np.ndarray
+    degenerate: np.ndarray
+    dropped: np.ndarray
+
+
+def _inside(shell: ShellSpec, xs) -> np.ndarray:
+    """shell.contains over the points xs (n, 2), in blocks of _BLOCK; a
+    point outside the bounding box of shell.points is outside."""
+    lo, hi = shell.points.min(axis=0), shell.points.max(axis=0)
+    box = np.flatnonzero(np.all((xs >= lo) & (xs <= hi), axis=-1))
+    inside = np.zeros(len(xs), dtype=bool)
+    for b in range(0, len(box), _BLOCK):
+        inside[box[b:b + _BLOCK]] = shell.contains(xs[box[b:b + _BLOCK]])
+    return inside
+
+
+def _dedup(owner, tm, tp):
+    """Mask of the seeds to keep, in seed order: a seed goes if an earlier
+    kept seed of the same owner has both tips within 1e-6 rad.  owner is
+    nondecreasing; the seeds of rank r within their owner are settled
+    together, against ranks 0..r-1."""
+    rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    keep = np.ones(len(owner), dtype=bool)
+    for r in range(1, rank.max(initial=0) + 1):
+        at = np.flatnonzero(rank == r)
+        prev = at[:, None] - np.arange(1, r + 1)
+        same = keep[prev]
+        for t in (tm, tp):
+            same &= np.abs((t[at, None] - t[prev] + np.pi) % TWO_PI
+                           - np.pi) < 1e-6
+        keep[at] = ~np.any(same, axis=1)
+    return keep
+
+
+def _search_chords(shell: ShellSpec, xs,
+                   caustic_tol: float = 1e-3) -> _ChordArrays:
+    """The chords of the points xs (n, 2): for each k, owner == k selects
+    what find_chords gives for xs[k].  The midpoint scan runs over blocks
+    of _BLOCK inside points; one damped Newton then takes every seed of
+    the batch, _NEWTON_BATCH seeds at a time."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
     n = len(xs)
     on = np.abs(shell.system.energy(xs) - shell.energy) < 1e-10 * (
         1.0 + abs(shell.energy))
-    live = on.copy()
-    for b in range(0, n, _BLOCK):
-        live[b:b + _BLOCK] |= shell.contains(xs[b:b + _BLOCK])
+    idx = np.flatnonzero(_inside(shell, xs) & ~on)
 
     stride = max(1, shell.n_samples // _N_SCAN)
     sub, thg = shell.points[::stride], shell.theta[::stride]
     hcell = TWO_PI / len(thg)
     mid = 0.5 * (sub[:, None, :] + sub[None, :, :])
 
-    chords: List[List[Chord]] = [[] for _ in range(n)]
-    dropped = np.zeros(n, dtype=int)
-    idx = np.flatnonzero(live)
+    # periodic local minima of each inside point's midpoint-distance
+    # landscape seed the Newton; an on-shell point gets no seeds
+    seeds = [np.zeros((3, 0), dtype=int)]
     for b in range(0, len(idx), _BLOCK):
         blk = idx[b:b + _BLOCK]
-        xb = xs[blk]
-        # periodic local minima of each inside point's midpoint-distance
-        # landscape seed the Newton; an on-shell point gets no seeds
-        d2 = np.sum((mid - xb[:, None, None, :]) ** 2, axis=-1)
-        mins = np.broadcast_to(~on[blk, None, None], d2.shape)
+        d2 = (mid[..., 0] - xs[blk, 0, None, None]) ** 2
+        d2 += (mid[..., 1] - xs[blk, 1, None, None]) ** 2
+        mins = np.ones(d2.shape, dtype=bool)
         for shift, axis in ((1, 1), (-1, 1), (1, 2), (-1, 2)):
-            mins = mins & (d2 <= np.roll(d2, shift, axis=axis))
-        owner, i, j = np.nonzero(mins)
-        # jitter splits degenerate diagonal seeds into tip pairs
-        tm, tp = thg[i] - 0.25 * hcell, thg[j] + 0.25 * hcell
-        ok = _newton_tips(shell, xb[owner], tm, tp, hcell)
-        dropped[blk] += np.bincount(owner[~ok], minlength=len(blk))
-        owner, tm, tp = owner[ok], tm[ok], tp[ok]
+            mins &= d2 <= np.roll(d2, shift, axis=axis)
+        o, i, j = np.nonzero(mins)
+        seeds.append(np.stack([blk[o], i, j]))
+    owner, i, j = np.concatenate(seeds, axis=1)
+    # jitter splits degenerate diagonal seeds into tip pairs
+    tm, tp = thg[i] - 0.25 * hcell, thg[j] + 0.25 * hcell
+    ok = np.zeros(len(owner), dtype=bool)
+    for b in range(0, len(owner), _NEWTON_BATCH):
+        s = slice(b, b + _NEWTON_BATCH)
+        ok[s] = _newton_tips(shell, xs[owner[s]], tm[s], tp[s], hcell)
+    dropped = np.bincount(owner[~ok], minlength=n)
+    owner, tm, tp = owner[ok], tm[ok], tp[ok]
 
-        swap = (tp - tm) % TWO_PI > np.pi  # canonical: forward arc is short
-        tm, tp = np.where(swap, [tp, tm], [tm, tp]) % TWO_PI
-        # dedup in seed order: a seed goes if an earlier kept one matches
-        kept = [[] for _ in blk]
-        keep = np.zeros(len(owner), dtype=bool)
-        for s, (o, a, c) in enumerate(zip(owner, tm.tolist(), tp.tolist())):
-            keep[s] = all(abs((a - ka + np.pi) % TWO_PI - np.pi) >= 1e-6
-                          or abs((c - kc + np.pi) % TWO_PI - np.pi) >= 1e-6
-                          for ka, kc in kept[o])
-            if keep[s]:
-                kept[o].append((a, c))
+    swap = (tp - tm) % TWO_PI > np.pi  # canonical: forward arc is short
+    tm, tp = np.where(swap, [tp, tm], [tm, tp]) % TWO_PI
+    keep = _dedup(owner, tm, tp)
 
-        # a point on the shell owns a single zero-length chord
-        on_b = np.flatnonzero(on[blk])
-        th_on = np.array([shell.theta_of_point(x) for x in xb[on_b]])
-        owner = np.concatenate([owner[keep], on_b])
-        tm = np.concatenate([tm[keep], th_on]) % TWO_PI
-        tp = np.concatenate([tp[keep], th_on]) % TWO_PI
-        degenerate = np.arange(len(owner)) >= keep.sum()
+    # a point on the shell owns a single zero-length chord
+    on_idx = np.flatnonzero(on)
+    th_on = np.concatenate([np.zeros(0)] + [
+        shell.theta_of_point(xs[on_idx[b:b + _BLOCK]])
+        for b in range(0, len(on_idx), _BLOCK)])
+    owner = np.concatenate([owner[keep], on_idx])
+    tm = np.concatenate([tm[keep], th_on]) % TWO_PI
+    tp = np.concatenate([tp[keep], th_on]) % TWO_PI
+    degenerate = np.arange(len(owner)) >= keep.sum()
 
-        w = shell.wedge(tm, tp)
-        action = shell.chord_action(tm, tp)
-        tau = shell.traversal_time(tm, tp)
-        xp, xm = shell.point(tp), shell.point(tm)
-        caustic = degenerate | (np.abs(w) < caustic_tol * shell.speed_scale)
-        for k in np.lexsort(((tp - tm) % TWO_PI, owner)):
-            chords[blk[owner[k]]].append(Chord(
-                x_plus=xp[k], x_minus=xm[k],
-                theta_plus=float(tp[k]), theta_minus=float(tm[k]),
-                action=float(action[k]), wedge=float(w[k]),
-                tau=float(tau[k]), caustic=bool(caustic[k]),
-                degenerate=bool(degenerate[k])))
-    return chords, dropped
+    order = np.lexsort(((tp - tm) % TWO_PI, owner))
+    owner, tm, tp = owner[order], tm[order], tp[order]
+    degenerate = degenerate[order]
+    w = shell.wedge(tm, tp)
+    return _ChordArrays(
+        owner=owner, theta_minus=tm, theta_plus=tp,
+        action=shell.chord_action(tm, tp), wedge=w,
+        tau=shell.traversal_time(tm, tp),
+        caustic=degenerate | (np.abs(w) < caustic_tol * shell.speed_scale),
+        degenerate=degenerate, dropped=dropped)
 
 
 def find_chords(shell: ShellSpec, x,
@@ -319,8 +367,22 @@ def find_chords(shell: ShellSpec, x,
     chords; a point on the shell owns a single zero-length chord, flagged
     as caustic.
     """
-    return _search_chords(shell, np.asarray(x, dtype=float)[None],
-                          caustic_tol)[0][0]
+    found = _search_chords(shell, np.asarray(x, dtype=float)[None],
+                           caustic_tol)
+    xp, xm = shell.point(found.theta_plus), shell.point(found.theta_minus)
+    return [Chord(x_plus=xp[k], x_minus=xm[k],
+                  theta_plus=float(found.theta_plus[k]),
+                  theta_minus=float(found.theta_minus[k]),
+                  action=float(found.action[k]), wedge=float(found.wedge[k]),
+                  tau=float(found.tau[k]), caustic=bool(found.caustic[k]),
+                  degenerate=bool(found.degenerate[k]))
+            for k in range(len(found.owner))]
+
+
+def _amplitude(wedge, hbar: float):
+    """Stationary-phase amplitude 2 / (pi sqrt(2 pi hbar)) / sqrt|wedge|."""
+    pref = 2.0 / (np.pi * np.sqrt(2.0 * np.pi * hbar))
+    return pref / np.sqrt(np.abs(wedge))
 
 
 def chord_amplitude(chord: Chord, hbar: float,
@@ -332,10 +394,7 @@ def chord_amplitude(chord: Chord, hbar: float,
     """
     if chord.caustic:
         raise NumericalError("amplitude undefined on a caustic chord")
-    pref = 2.0 / (np.pi * np.sqrt(2.0 * np.pi * hbar))
-    a = pref / np.sqrt(abs(chord.wedge))
-    chord.amplitude = amplitude_scale * a
-    return chord.amplitude
+    return amplitude_scale * _amplitude(chord.wedge, hbar)
 
 
 def quantize_energy(system: HamiltonianSystem, n_level: int,

@@ -15,9 +15,10 @@ from .flow import HamiltonianSystem, J
 from .shells import (
     Chord,
     ShellSpec,
+    _amplitude,
+    _ChordArrays,
     _search_chords,
     build_shell,
-    chord_amplitude,
     quantize_energy,
 )
 
@@ -97,15 +98,15 @@ def spectral_state(system: HamiltonianSystem, energy: float, epsilon: float,
                               **kwargs)
 
 
-def window_factor(tau: float, epsilon: float, hbar: float,
-                  shape: str = "gaussian") -> float:
-    """Spectral weight of a chord with traversal time tau."""
+def window_factor(tau, epsilon: float, hbar: float,
+                  shape: str = "gaussian"):
+    """Spectral weight of chords with traversal times tau."""
     if epsilon == 0.0:
         return 1.0
     if shape == "gaussian":
-        return float(np.exp(-0.5 * (epsilon * tau / hbar) ** 2))
+        return np.exp(-0.5 * (epsilon * tau / hbar) ** 2)
     if shape == "lorentzian":
-        return float(np.exp(-epsilon * abs(tau) / hbar))
+        return np.exp(-epsilon * np.abs(tau) / hbar)
     raise ValueError(f"unknown window shape {shape!r}")
 
 
@@ -114,27 +115,21 @@ def phase_gradient(chord: Chord) -> np.ndarray:
     return J @ chord.xi
 
 
-def _contribution(state: SemiclassicalState, chord: Chord) -> ChordContribution:
-    tau = chord.tau
-    win = window_factor(tau, state.epsilon, state.hbar, state.window_shape)
-    if chord.caustic:
-        return ChordContribution(action=chord.action, amplitude=np.nan,
-                                 window=win, phase=chord.action / state.hbar
-                                 - state.maslov, tau=tau, caustic=True)
-    amp = chord_amplitude(chord, state.hbar,
-                          amplitude_scale=state.amplitude_scale)
-    return ChordContribution(action=chord.action, amplitude=amp, window=win,
-                             phase=chord.action / state.hbar - state.maslov,
-                             tau=tau, caustic=False)
+def _terms(state: SemiclassicalState, found: _ChordArrays):
+    """Per-chord amplitude (nan on caustic chords), window and phase."""
+    with np.errstate(divide="ignore"):
+        amp = state.amplitude_scale * _amplitude(found.wedge, state.hbar)
+    amp[found.caustic] = np.nan
+    win = np.broadcast_to(window_factor(found.tau, state.epsilon, state.hbar,
+                                        state.window_shape), amp.shape)
+    return amp, win, found.action / state.hbar - state.maslov
 
 
-def _sample(state: SemiclassicalState, x, chords, dropped) -> WignerSample:
-    contribs = tuple(_contribution(state, c) for c in chords)
-    regular = [c.value for c in contribs if not c.caustic]
-    return WignerSample(x=x, value=float(sum(regular)),
-                        contributions=contribs,
-                        caustic_flag=any(c.caustic for c in contribs),
-                        dropped_seeds=int(dropped))
+def _point_sums(found: _ChordArrays, amp, win, phase, n: int) -> np.ndarray:
+    """Each of n points' sum of its regular chord terms, in chord order."""
+    reg = ~found.caustic
+    return np.bincount(found.owner[reg], minlength=n,
+                       weights=(amp * win * np.cos(phase))[reg])
 
 
 def eval_state(x, state: SemiclassicalState) -> WignerSample:
@@ -145,9 +140,19 @@ def eval_state(x, state: SemiclassicalState) -> WignerSample:
     contributions.
     """
     x = np.asarray(x, dtype=float)
-    chords, dropped = _search_chords(state.shell, x[None],
-                                     caustic_tol=state.caustic_tol)
-    return _sample(state, x, chords[0], dropped[0])
+    found = _search_chords(state.shell, x[None],
+                           caustic_tol=state.caustic_tol)
+    amp, win, phase = _terms(state, found)
+    contribs = tuple(
+        ChordContribution(action=float(found.action[k]),
+                          amplitude=float(amp[k]), window=float(win[k]),
+                          phase=float(phase[k]), tau=float(found.tau[k]),
+                          caustic=bool(found.caustic[k]))
+        for k in range(len(amp)))
+    return WignerSample(
+        x=x, value=float(_point_sums(found, amp, win, phase, 1)[0]),
+        contributions=contribs, caustic_flag=bool(found.caustic.any()),
+        dropped_seeds=int(found.dropped[0]))
 
 
 @dataclass
@@ -188,18 +193,18 @@ class WignerGridResult:
 def eval_grid(state: SemiclassicalState, ps, qs) -> WignerGridResult:
     """Evaluate the chord sum over a rectangular (p, q) grid.
 
-    One batched chord search covers every grid point.
+    One batched chord search covers every grid point; the chord terms
+    are summed per point from its arrays.
     """
     ps = np.asarray(ps, dtype=float)
     qs = np.asarray(qs, dtype=float)
     xs = np.stack(np.meshgrid(ps, qs), axis=-1).reshape(-1, 2)
-    chords, dropped = _search_chords(state.shell, xs,
-                                     caustic_tol=state.caustic_tol)
-    shape = (len(qs), len(ps))
-    samples = (_sample(state, x, c, d) for x, c, d in zip(xs, chords, dropped))
-    cols = np.array([(s.value, len(s.contributions), s.caustic_flag)
-                     for s in samples], dtype=float).reshape(shape + (3,))
-    return WignerGridResult(ps=ps, qs=qs, values=cols[..., 0],
-                            n_chords=cols[..., 1].astype(int),
-                            caustic=cols[..., 2].astype(bool),
-                            dropped_seeds=dropped.reshape(shape), state=state)
+    found = _search_chords(state.shell, xs, caustic_tol=state.caustic_tol)
+    n, shape = len(xs), (len(qs), len(ps))
+    values = _point_sums(found, *_terms(state, found), n)
+    return WignerGridResult(
+        ps=ps, qs=qs, values=values.reshape(shape),
+        n_chords=np.bincount(found.owner, minlength=n).reshape(shape),
+        caustic=(np.bincount(found.owner[found.caustic], minlength=n)
+                 > 0).reshape(shape),
+        dropped_seeds=found.dropped.reshape(shape), state=state)

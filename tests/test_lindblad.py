@@ -29,7 +29,8 @@ from chordwigner.lindblad import (
     trotter_evolve,
     write_trace,
 )
-from chordwigner.shells import Chord, build_shell, find_chords
+from chordwigner.flow import NumericalError
+from chordwigner.shells import Chord, build_shell, chord_amplitude, find_chords
 
 harmonic = make_system("harmonic")
 quartic = make_system("quartic")
@@ -88,6 +89,23 @@ def test_rate_complex_ladder_channel():
         - 0.5 * (abs(lp) ** 2 + abs(lm) ** 2) * np.cos(REF.action / hbar))
     got = lindblad_rate(REF, [chan], hbar, amplitude=1.0)
     assert_allclose(got, want, atol=1e-12)
+
+
+def test_rate_default_amplitude_ignores_call_order():
+    # without an explicit amplitude the rate uses chord_amplitude's, so
+    # an earlier chord_amplitude call cannot change it
+    shell = build_shell(harmonic, 0.5)
+    chord = find_chords(shell, (0.15, 0.35))[0]
+    qchan = [position_channel()]
+    first = lindblad_rate(chord, qchan, 0.05)
+    amp = chord_amplitude(chord, 0.05)
+    assert lindblad_rate(chord, qchan, 0.05) == first
+    assert first == lindblad_rate(chord, qchan, 0.05, amplitude=amp)
+    assert first != lindblad_rate(chord, qchan, 0.05, amplitude=1.0)
+    centre = find_chords(shell, (0.0, 0.0))[0]
+    assert centre.caustic
+    with pytest.raises(NumericalError):
+        lindblad_rate(centre, qchan, 0.05)
 
 
 def test_hermitian_decay_rate_examples():

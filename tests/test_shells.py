@@ -9,6 +9,7 @@ from scipy.special import ellipe, ellipk
 
 from chordwigner import (
     HamiltonianSystem,
+    NumericalError,
     ShellError,
     build_shell,
     chord_amplitude,
@@ -16,7 +17,7 @@ from chordwigner import (
     make_system,
     quantize_energy,
 )
-from chordwigner.shells import _search_chords
+from chordwigner.shells import _dedup, _search_chords
 
 harmonic = make_system("harmonic")
 quartic = make_system("quartic")
@@ -113,6 +114,21 @@ def test_find_chords_on_shell_degenerate():
         chord_amplitude(chords[0], hbar=0.05)
 
 
+def test_theta_of_point_converges_on_shell():
+    shell = build_shell(quartic, 0.5)
+    th = np.linspace(0.1, 6.2, 25)
+    assert_allclose(shell.theta_of_point(shell.point(th)), th, atol=1e-10)
+    assert_allclose(shell.theta_of_point(shell.point(1.2)), 1.2, atol=1e-10)
+
+
+def test_theta_of_point_raises_when_unconverged():
+    # for x = R (cos phi, sin phi) off the unit circle a step maps
+    # theta -> theta - R sin(theta - phi): at R = 5 the root repels
+    shell = circle_shell()
+    with pytest.raises(NumericalError):
+        shell.theta_of_point(5.0 * np.array([np.cos(0.3), np.sin(0.3)]))
+
+
 def test_find_chords_outside_is_empty():
     shell = circle_shell()
     assert find_chords(shell, (0.0, 1.5)) == []
@@ -162,16 +178,39 @@ def test_batched_search_matches_pointwise(kind, coupling, level, polar):
     e = -coupling + 2 * coupling * level if kind == "pendulum" else level
     shell = build_shell(system, e)
     xs = np.array([rho * shell.point(th) for th, rho in polar])
-    batched, _ = _search_chords(shell, xs)
-    for x, chords in zip(xs, batched):
+    found = _search_chords(shell, xs)
+    for k, x in enumerate(xs):
+        mine = found.owner == k
         single = find_chords(shell, x)
-        assert len(chords) == len(single)
-        assert_allclose([c.action for c in chords],
-                        [c.action for c in single], rtol=0, atol=1e-12)
-        for c in chords:
-            assert_allclose(c.centre, x, atol=1e-8)
-            dth = (c.theta_plus - c.theta_minus) % (2 * np.pi)
-            assert 0.0 <= dth <= np.pi + 1e-12
+        assert mine.sum() == len(single)
+        assert_allclose(found.action[mine], [c.action for c in single],
+                        rtol=0, atol=1e-12)
+        tm, tp = found.theta_minus[mine], found.theta_plus[mine]
+        assert_allclose(0.5 * (shell.point(tm) + shell.point(tp)),
+                        np.broadcast_to(x, (len(tm), 2)), atol=1e-8)
+        dth = (tp - tm) % (2 * np.pi)
+        assert np.all((0.0 <= dth) & (dth <= np.pi + 1e-12))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3),
+                                st.integers(-3, 3)), max_size=40))
+def test_dedup_matches_sequential_loop(seeds):
+    # tips on a 0.7e-6 lattice near 0 and 2 pi: matches chain across
+    # seeds and across the wrap, so "an earlier kept seed" matters
+    seeds = sorted(seeds, key=lambda s: s[0])
+    owner = np.array([s[0] for s in seeds], dtype=int)
+    tm = np.array([0.7e-6 * s[1] for s in seeds]) % (2 * np.pi)
+    tp = np.array([2.0 + 0.7e-6 * s[2] for s in seeds])
+    want, kept = [], {}
+    for o, a, c in zip(owner, tm, tp):
+        near = lambda u, v: abs((u - v + np.pi) % (2 * np.pi) - np.pi) < 1e-6
+        keep = not any(near(a, ka) and near(c, kc)
+                       for ka, kc in kept.get(o, []))
+        want.append(keep)
+        if keep:
+            kept.setdefault(o, []).append((a, c))
+    assert _dedup(owner, tm, tp).tolist() == want
 
 
 def test_wedge_is_four_midpoint_jacobians():

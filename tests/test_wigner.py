@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from chordwigner import make_system
 from chordwigner.oracle import solve_eigenstates, weyl_transform, DensityGrid
+from chordwigner.shells import _BLOCK, _inside
 from chordwigner.wigner import (
     eval_grid,
     eval_state,
@@ -17,6 +18,7 @@ from chordwigner.wigner import (
 
 harmonic = make_system("harmonic")
 quartic = make_system("quartic")
+pendulum = make_system("pendulum")
 
 
 def test_interior_point_single_chord_values():
@@ -47,13 +49,26 @@ def test_momentum_parity_even_hamiltonian():
 
 
 @pytest.mark.parametrize("system, epsilon", [(harmonic, 0.0),
-                                             (quartic, 0.05)])
+                                             (quartic, 0.05),
+                                             (pendulum, 0.0)])
 def test_eval_grid_matches_pointwise_loop(system, epsilon):
-    # the 9x9 grid holds outside corners and the centre, where both
-    # shells are point-symmetric: every chord is a caustic diameter
-    state = spectral_state(system, 0.5, epsilon, 0.05)
-    ps = np.linspace(-1.2, 1.2, 9)
-    qs = np.linspace(-1.0, 1.0, 9)
+    # the grid holds outside corners and the centre, where all three
+    # shells are point-symmetric: every chord is a caustic diameter.  It
+    # also holds the bounding-box edges of the shell samples and exact
+    # samples (on the shell), and its inside points span several blocks
+    energy = -0.4 if system is pendulum else 0.5
+    state = spectral_state(system, energy, epsilon, 0.05)
+    shell = state.shell
+    pts = shell.points
+    ks = [np.argmin(pts[:, 0]), np.argmax(pts[:, 0]),
+          np.argmin(pts[:, 1]), np.argmax(pts[:, 1]), 300]
+    top = 1.2 * np.max(np.abs(pts), axis=0)
+    ps = np.union1d(np.linspace(-top[0], top[0], 9), pts[ks, 0])
+    qs = np.union1d(np.linspace(-top[1], top[1], 9), pts[ks, 1])
+    xs = np.stack(np.meshgrid(ps, qs), axis=-1).reshape(-1, 2)
+    inside = _inside(shell, xs)
+    assert np.array_equal(inside, shell.contains(xs))
+    assert inside.sum() > 2 * _BLOCK
     grid = eval_grid(state, ps, qs)
     for i, q in enumerate(qs):
         for k, p in enumerate(ps):
@@ -62,7 +77,10 @@ def test_eval_grid_matches_pointwise_loop(system, epsilon):
             assert grid.n_chords[i, k] == len(s.contributions)
             assert grid.caustic[i, k] == s.caustic_flag
             assert grid.dropped_seeds[i, k] == s.dropped_seeds
-    assert grid.caustic[4, 4]
+    assert grid.caustic[qs == 0.0, ps == 0.0].all()
+    for k in ks:  # a shell sample owns one degenerate, caustic chord
+        at = (qs == pts[k, 1])[:, None] & (ps == pts[k, 0])[None, :]
+        assert grid.n_chords[at].tolist() == [1] and grid.caustic[at].all()
 
 
 def test_dropped_seeds_counted():
