@@ -10,7 +10,7 @@ decoherence integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -73,12 +73,11 @@ def poisson_bracket(f: Callable, g: Callable, x, step: float = 1e-6):
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """A 1-DOF hamiltonian H(p, q) with (optionally analytic) gradient."""
+    """A 1-DOF hamiltonian H(p, q) with its analytic gradient."""
 
     name: str
     value: Callable
-    grad: Optional[Callable] = None
-    fd_step: float = 1e-7
+    grad: Callable
 
     def energy(self, x):
         x = np.asarray(x, dtype=float)
@@ -86,17 +85,7 @@ class HamiltonianSystem:
 
     def gradient(self, x):
         """(dH/dp, dH/dq), stacked along the last axis."""
-        x = np.asarray(x, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
-        h = self.fd_step
-        ep = np.zeros_like(x)
-        ep[..., 0] = h
-        eq = np.zeros_like(x)
-        eq[..., 1] = h
-        gp = (self.value(x + ep) - self.value(x - ep)) / (2 * h)
-        gq = (self.value(x + eq) - self.value(x - eq)) / (2 * h)
-        return np.stack([gp, gq], axis=-1)
+        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
 
     def velocity(self, x):
         """Hamiltonian vector field J grad H = (-dH/dq, +dH/dp)."""
@@ -195,12 +184,15 @@ def hamiltonian_flow(system, x0, t: float, dt: float = 1e-3,
     return Trajectory(times=times, points=_tip_flow(system, x0, t)(times))
 
 
-def _closed_orbit(system, x0, t_max: float = 400.0):
-    """(period, dense solution, area) of the closed orbit through x0.
+def _closed_orbit(system, x0, t_max: float = 400.0, dense: bool = False):
+    """(period, dense solution or None, area) of the closed orbit through x0.
 
-    One DOP853 integration of (p, q, oint p dq) with dense output; a
-    section through x0 normal to the initial velocity stops it at the
-    first return (Hairer, Norsett & Wanner, Solving ODEs I, II.6).
+    One DOP853 integration of (p, q, oint p dq); a section through x0
+    normal to the initial velocity stops it at the first return (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6).  The interpolant costs 3 of
+    the 16 right-hand sides of a step, so it is built for every step only
+    when dense is set; otherwise only at the step where the event fires,
+    which locates the return the same way.
     """
     from scipy.integrate import solve_ivp
 
@@ -210,10 +202,11 @@ def _closed_orbit(system, x0, t_max: float = 400.0):
     if speed == 0.0:
         raise ShellError("fixed point: no closed orbit through this point")
     v0 = v0 / speed
+    grad = system.grad
 
     def rhs(t, y):
-        v = system.velocity(y[:2])
-        return [v[0], v[1], y[0] * v[1]]
+        gp, gq = grad(y[:2])
+        return [-gq, gp, y[0] * gp]
 
     def section(t, y):
         # the start itself sits on the section; only a return counts
@@ -222,7 +215,7 @@ def _closed_orbit(system, x0, t_max: float = 400.0):
     section.terminal = True
     section.direction = 1.0
     sol = solve_ivp(rhs, (0.0, t_max), [x0[0], x0[1], 0.0], method="DOP853",
-                    rtol=1e-12, atol=1e-12, dense_output=True,
+                    rtol=1e-12, atol=1e-12, dense_output=dense,
                     events=section)
     if sol.status == -1:
         raise RuntimeError(f"orbit integration failed: {sol.message}")
@@ -240,7 +233,7 @@ def find_period(system, x0, t_max: float = 400.0) -> float:
 def periodic_orbit(system, x0, n: int = 2048):
     """(period, samples): n points uniformly spaced in time along the orbit,
     read off the dense output of one adaptive integration."""
-    period, dense, _ = _closed_orbit(system, x0)
+    period, dense, _ = _closed_orbit(system, x0, dense=True)
     return period, dense(period * np.arange(n) / n)[:2].T
 
 
@@ -248,14 +241,16 @@ def shell_start(system, energy: float, p_max: float = 1e3):
     """A point on the H = energy shell, searched on the q = 0 then p = 0 axes."""
     from scipy.optimize import brentq
 
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, p_max, 200)])
     for axis in (0, 1):
         def f(s):
             x = np.zeros(2)
             x[axis] = s
             return float(system.energy(x)) - energy
 
-        grid = np.concatenate([[0.0], np.geomspace(1e-6, p_max, 200)])
-        vals = np.array([f(s) for s in grid])
+        pts = np.zeros((len(grid), 2))
+        pts[:, axis] = grid
+        vals = system.energy(pts) - energy
         sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
         for i in sign_change:
             if vals[i] == 0.0 and vals[i + 1] == 0.0:

@@ -169,14 +169,11 @@ def density_matrix_sc(q_plus: float, q_minus: float, shell: ShellSpec,
 
 def swapped_system(system: HamiltonianSystem) -> HamiltonianSystem:
     """The (p <-> q)-exchanged Hamiltonian (antisymplectic mirror)."""
-    sw_grad = None
-    if system.grad is not None:
-        sw_grad = lambda x: np.asarray(
-            system.grad(np.asarray(x)[..., ::-1]))[..., ::-1]
     return HamiltonianSystem(
         name=system.name + "-pqswap",
         value=lambda x: system.value(np.asarray(x)[..., ::-1]),
-        grad=sw_grad, fd_step=system.fd_step)
+        grad=lambda x: np.asarray(
+            system.grad(np.asarray(x)[..., ::-1]))[..., ::-1])
 
 
 def swapped_shell(shell: ShellSpec, channels: Sequence[LindbladChannel]):

@@ -8,6 +8,7 @@ traversal time are the raw material of the semiclassical construction.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import List, NamedTuple
 
@@ -173,7 +174,7 @@ def build_shell(system: HamiltonianSystem, energy: float,
     """
     if x0 is None:
         x0 = shell_start(system, energy)
-    period, orbit, _ = _closed_orbit(system, x0)
+    period, orbit, _ = _closed_orbit(system, x0, dense=True)
     pts = orbit(period * np.arange(n_samples) / n_samples)[:2].T
     closure = float(np.linalg.norm(orbit(period)[:2] - x0))
 
@@ -397,25 +398,44 @@ def chord_amplitude(chord: Chord, hbar: float,
     return amplitude_scale * _amplitude(chord.wedge, hbar)
 
 
+def _small_oscillation_period(system: HamiltonianSystem) -> float:
+    """2 pi / omega_0 at the origin, with omega_0^2 = H_pp H_qq - H_pq^2
+    by central differences of the gradient; inf where omega_0^2 <= 0."""
+    h = 1e-5
+    gp = (system.gradient([h, 0.0]) - system.gradient([-h, 0.0])) / (2 * h)
+    gq = (system.gradient([0.0, h]) - system.gradient([0.0, -h])) / (2 * h)
+    w2 = float(gp[0] * gq[1] - gp[1] * gq[0])
+    return TWO_PI / np.sqrt(w2) if w2 > 0 else np.inf
+
+
 def quantize_energy(system: HamiltonianSystem, n_level: int,
                     hbar: float) -> float:
     """Energy of quantum level n from the area rule oint p dq = 2 pi hbar (n + 1/2).
 
-    Safeguarded Newton on A(E) - target with dA/dE = T(E), the
-    action-angle identity; one closed-orbit integration gives both.  The
-    bracket keeps A(lo) < target and, at hi, A > target or no closed
-    orbit; a Newton step that leaves it is replaced by bisection.  The
-    well bottom is taken at the origin, where A = 0.  A bracket that
-    shrinks onto an energy with no root (a separatrix: the level does
-    not fit in the well) raises ShellError.  Orbits past a separatrix
-    never return, so a probe stops after 4 periods of the lo orbit
-    instead of t_max = 400; a bracket end set by such a cut probe is
-    probed again in full before the error is raised.
+    Safeguarded Newton in (ln eps, ln A), eps = E - V(0): the well bottom
+    is taken at the origin, where A = 0.  One closed-orbit integration
+    gives A and, by the action-angle identity dA/dE = T, the slope
+    d ln A / d ln eps = eps T / A, so the next probe is at
+    eps (target / A)^(A / (eps T)) above the bottom.  The step is exact
+    for any power-law well, A ~ eps^k: the oscillator and the pure
+    quartic need two probes.  A probe whose linear step (target - A) / T
+    is within 1e-10 (1 + |E|) returns E plus that step.  The bracket keeps
+    A(lo) < target and, at hi, A > target or no closed orbit; a step that
+    leaves it or cannot be formed (the power overflows, or eps or A is not
+    positive) is replaced by bisection, or by the linear step while hi is
+    still unbounded.  A bracket that shrinks onto
+    an energy with no root (a separatrix: the level does not fit in the
+    well) raises ShellError.  Orbits past a separatrix never return, so a
+    probe stops after 4 periods of the lo orbit instead of t_max = 400;
+    before any lo orbit, after 4 small-oscillation periods 2 pi / omega_0
+    at the origin (none where omega_0^2 <= 0).  A bracket end set by a
+    cut probe is probed again in full before the error is raised.
     """
     target = TWO_PI * hbar * (n_level + 0.5)
-    lo, hi = float(system.energy(np.zeros(2))), np.inf
+    bottom = float(system.energy(np.zeros(2)))
+    lo, hi = bottom, np.inf
     e = lo + target / TWO_PI  # exact for the unit-frequency oscillator
-    t_lo, reach, cut = np.inf, 4.0, False
+    t_lo, reach, cut = _small_oscillation_period(system), 4.0, False
     for _ in range(100):
         tol = 1e-10 * (1.0 + abs(e))
         t_max = min(400.0, reach * t_lo)
@@ -440,8 +460,14 @@ def quantize_energy(system: HamiltonianSystem, n_level: int,
                 f"no closed orbit encloses area {target:.6g} (level "
                 f"{n_level}): the bracket shrank onto E = {lo:.12g}, "
                 "a separatrix")
-        if step is not None and lo < e + step < hi:
-            e += step
-        else:
+        nxt, eps = np.nan, e - bottom
+        if step is not None and eps > 0 and area > 0:
+            with contextlib.suppress(OverflowError):
+                nxt = bottom + eps * (target / area) ** (area / (eps * period))
+        if lo < nxt < hi:
+            e = nxt
+        elif hi < np.inf:
             e = 0.5 * (lo + hi)
+        else:
+            e += step
     raise ShellError(f"quantization of level {n_level} did not converge")

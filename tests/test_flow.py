@@ -15,10 +15,12 @@ from chordwigner import (
     periodic_orbit,
     poisson_bracket,
     polynomial_system,
+    quantize_energy,
     shell_average,
     shell_start,
     skew,
 )
+from chordwigner import shells
 from chordwigner.flow import _closed_orbit
 
 harmonic = make_system("harmonic")
@@ -167,15 +169,42 @@ def test_closed_orbit_period_area_and_action_angle(kind, coupling, level):
     # librates
     system, period_of, area_of = _family(kind, coupling)
     e = -coupling + 2 * coupling * level if kind == "pendulum" else level
-    period, dense, area = _closed_orbit(system, shell_start(system, e))
+    x0 = shell_start(system, e)
+    period, dense, area = _closed_orbit(system, x0, dense=True)
     assert_allclose(period, period_of(e), rtol=1e-9)
     assert_allclose(area, area_of(e), rtol=1e-9)
     assert_allclose(dense(period)[:2], dense(0.0)[:2], atol=1e-8)
+    # the interpolant changes no step: the event step builds its own
+    no_dense = _closed_orbit(system, x0)
+    assert (no_dense[0], no_dense[2]) == (period, area)
     # action-angle identity dA/dE = T, by central differences
     h = 1e-4 * abs(e - float(system.energy(np.zeros(2))))
     area_at = lambda en: _closed_orbit(system, shell_start(system, en))[2]
     assert_allclose((area_at(e + h) - area_at(e - h)) / (2 * h), period,
                     rtol=1e-6)
+
+
+@pytest.mark.parametrize("kind, coupling", [
+    ("oscillator", 0.5), ("oscillator", 5.0), ("quartic", 0.5),
+    ("quartic", 144.0)])
+@pytest.mark.parametrize("level, hbar", [(0, 0.1), (4, 0.05), (7, 0.1)])
+def test_quantize_energy_exact_on_power_law_wells(monkeypatch, kind,
+                                                  coupling, level, hbar):
+    # A = A(1) E^k with k = 1 (oscillator) or 3/4 (quartic): the log-space
+    # Newton lands on the level from the first probe's slope eps T / A
+    system, _, area_of = _family(kind, coupling)
+    k = 1.0 if kind == "oscillator" else 0.75
+    target = 2 * np.pi * hbar * (level + 0.5)
+    probes = []
+
+    def counting(*args, **kwargs):
+        probes.append(args)
+        return _closed_orbit(*args, **kwargs)
+
+    monkeypatch.setattr(shells, "_closed_orbit", counting)
+    energy = quantize_energy(system, level, hbar)
+    assert_allclose(energy, (target / area_of(1.0)) ** (1 / k), rtol=1e-10)
+    assert len(probes) <= 2
 
 
 def test_periodic_orbit_closes():

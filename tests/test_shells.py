@@ -17,6 +17,8 @@ from chordwigner import (
     make_system,
     quantize_energy,
 )
+from chordwigner import shells
+from chordwigner.flow import _closed_orbit
 from chordwigner.shells import _dedup, _search_chords
 
 harmonic = make_system("harmonic")
@@ -262,7 +264,18 @@ def test_quantize_energy_pendulum_near_separatrix():
     assert_allclose(quantize_energy(pendulum, 4, 0.5), expected, atol=1e-10)
 
 
-def test_quantize_energy_raises_beyond_separatrix():
-    # level 5 needs area 17.28, but the separatrix encloses only 16
+def test_quantize_energy_raises_beyond_separatrix(monkeypatch):
+    # level 5 needs area 17.28, but the separatrix encloses only 16.  The
+    # first probe, past the separatrix, is cut at 4 small-oscillation
+    # periods; only the recheck of the last cut bracket end runs to 400
+    t_max = []
+
+    def counting(system, x0, t, **kwargs):
+        t_max.append(t)
+        return _closed_orbit(system, x0, t, **kwargs)
+
+    monkeypatch.setattr(shells, "_closed_orbit", counting)
     with pytest.raises(ShellError, match="separatrix"):
         quantize_energy(pendulum, 5, 0.5)
+    assert t_max[0] < 400.0
+    assert sum(t >= 400.0 for t in t_max) == 1
