@@ -3,7 +3,10 @@ Moyal star products, and an exact Lindblad propagator (the action of the
 matrix exponential of the sparse Liouvillian, Al-Mohy & Higham 2011).
 
 Everything here is independent of the semiclassical construction; it is
-the yardstick the chord machinery is measured against.  The Weyl
+the yardstick the chord machinery is measured against.  The one
+semiclassical input is the area-rule energy of the top requested level,
+which sizes the eigensolver's box only; the spectrum comes from the
+Fourier grid Hamiltonian (Marston & Balint-Kurti 1989) alone.  The Weyl
 transform lives on a doubled-centre grid (centres at dq/2 spacing, each
 anti-diagonal shifted into one row of a single FFT), the smallest
 discretisation that is exactly invertible and keeps trace / marginal /
@@ -12,7 +15,7 @@ overlap identities exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -20,6 +23,9 @@ import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
+
+from .flow import HamiltonianSystem
+from .shells import quantize_energy
 
 __all__ = [
     "OracleError",
@@ -31,8 +37,6 @@ __all__ = [
     "solve_eigenstates",
     "harmonic_ladder",
     "hermite_psi",
-    "position_matrix",
-    "momentum_matrix",
     "weyl_transform",
     "inverse_weyl",
     "wigner_of_state",
@@ -67,7 +71,6 @@ class EigenBasis:
     energies: np.ndarray
     psis: np.ndarray          # (count, n_grid)
     vgrid: np.ndarray
-    name: str = ""
 
     @property
     def count(self) -> int:
@@ -104,61 +107,52 @@ def _fgh_hamiltonian(v: np.ndarray, dq: float, hbar: float) -> np.ndarray:
 _EIGEN_CACHE: dict = {}
 
 
-def solve_eigenstates(system_or_potential, hbar: float, count: int,
-                      n_grid: int = 512, half_width: Optional[float] = None,
-                      name: Optional[str] = None) -> EigenBasis:
-    """Lowest `count` eigenpairs of the 1-D Schrödinger operator.
+def _edge_share(a: np.ndarray) -> float:
+    """Largest |a| on the two outermost columns at either end, over max |a|."""
+    edge = max(np.max(np.abs(a[:, :2])), np.max(np.abs(a[:, -2:])))
+    return float(edge / np.max(np.abs(a)))
 
-    The grid half-width defaults to 6 classical turning radii of the top
-    requested level (estimated iteratively on a coarse grid); pass
-    half_width explicitly for periodic potentials where neighbouring
-    wells must stay out of the box.
+
+def solve_eigenstates(system: HamiltonianSystem, hbar: float, count: int,
+                      n_grid: int = 512) -> EigenBasis:
+    """Lowest `count` eigenpairs of H = p^2/2 + V(q) on a Fourier grid.
+
+    The box half-width is 6 max(r_turn, sqrt(hbar)), where r_turn is the
+    largest |q| with V(q) <= E_top and E_top is the area-rule energy
+    `quantize_energy(system, count - 1, hbar)` of the top level.  Raises
+    OracleError when an eigenstate's amplitude at the box edge, or at the
+    grid's Nyquist momentum, exceeds 1e-6 of its peak: V does not confine
+    the states within 6 turning radii (a periodic V), or n_grid is too
+    small for count.  quantize_energy raises ShellError when the top
+    level does not fit in the well.
     """
-    if hasattr(system_or_potential, "energy"):
-        potential = _separable_potential(system_or_potential)
-        auto_name = getattr(system_or_potential, "name", "")
-    else:
-        potential = system_or_potential
-        auto_name = getattr(system_or_potential, "__name__", "potential")
-    name = name if name is not None else auto_name
-
+    potential = _separable_potential(system)
     # keyed on V itself, sampled on the scan grid, not on the name: two
     # systems that share a name but not a potential never share a basis
     scan = np.linspace(-30, 30, 4001)
     vscan = np.asarray(potential(scan), dtype=float)
-    key = (vscan.tobytes(), float(hbar), count, n_grid, half_width)
+    key = (vscan.tobytes(), float(hbar), count, n_grid)
     if key in _EIGEN_CACHE:
-        return replace(_EIGEN_CACHE[key], name=name)
+        return _EIGEN_CACHE[key]
 
-    if half_width is None:
-        # bootstrap the box from coarse solves: L = 6 turning radii
-        half_width = 6.0 * max(1.0, np.sqrt(2.0 * hbar * (count + 1)))
-        for _ in range(5):
-            basis = _solve_on_box(potential, hbar, count,
-                                  max(128, n_grid // 4), half_width)
-            e_top = float(basis.energies[-1])
-            inside = np.abs(scan[vscan <= e_top + 1e-12])
-            if len(inside) == 0:
-                break
-            r_turn = float(np.max(inside))
-            new_hw = 6.0 * max(r_turn, np.sqrt(hbar))
-            if abs(new_hw - half_width) < 0.1 * half_width:
-                half_width = new_hw
-                break
-            half_width = new_hw
-
-    basis = _solve_on_box(potential, hbar, count, n_grid, half_width, name)
-    edge = max(np.max(np.abs(basis.psis[:, :2])),
-               np.max(np.abs(basis.psis[:, -2:])))
-    if edge > 1e-6 * np.max(np.abs(basis.psis)):
-        raise OracleError(
-            f"eigenstates reach the box edge (amp {edge:.2e}); "
-            "enlarge half_width or reduce count")
+    e_top = quantize_energy(system, count - 1, hbar)
+    r_turn = float(np.max(np.abs(scan[vscan <= e_top])))
+    basis = _solve_on_box(potential, hbar, count, n_grid,
+                          6.0 * max(r_turn, np.sqrt(hbar)))
+    for where, share, cause in (
+            ("box edge", _edge_share(basis.psis),
+             "V does not confine them within 6 turning radii"),
+            ("Nyquist momentum", _edge_share(np.fft.fftshift(
+                np.fft.fft(basis.psis, axis=1), axes=1)),
+             "n_grid is too small for count")):
+        if share > 1e-6:
+            raise OracleError(f"eigenstates reach the {where} "
+                              f"(amp {share:.2e} of max): {cause}")
     _EIGEN_CACHE[key] = basis
     return basis
 
 
-def _solve_on_box(potential, hbar, count, n_grid, half_width, name=""):
+def _solve_on_box(potential, hbar, count, n_grid, half_width):
     dq = 2.0 * half_width / n_grid
     qs = -half_width + dq * np.arange(n_grid)
     v = np.asarray(potential(qs), dtype=float)
@@ -171,7 +165,7 @@ def _solve_on_box(potential, hbar, count, n_grid, half_width, name=""):
         if psi[j] < 0:
             psi *= -1.0
     return EigenBasis(qs=qs, dq=dq, hbar=hbar, energies=evals,
-                      psis=psis, vgrid=v, name=name)
+                      psis=psis, vgrid=v)
 
 
 def harmonic_ladder(count: int, hbar: float):
@@ -196,25 +190,6 @@ def hermite_psi(n_max: int, qs, hbar: float) -> np.ndarray:
         out[n] = (np.sqrt(2.0 / n) * xi * out[n - 1]
                   - np.sqrt((n - 1) / n) * out[n - 2])
     return out
-
-
-# ---------------------------------------------------------------------------
-# operator matrices in an EigenBasis
-# ---------------------------------------------------------------------------
-
-def position_matrix(basis: EigenBasis, f: Optional[Callable] = None):
-    vals = basis.qs if f is None else f(basis.qs)
-    return (basis.psis * vals) @ basis.psis.T * basis.dq
-
-
-def momentum_matrix(basis: EigenBasis):
-    n = len(basis.qs)
-    k = 2 * np.pi * np.fft.fftfreq(n, d=basis.dq)
-    dpsi = np.fft.ifft(1j * k * np.fft.fft(basis.psis.astype(complex),
-                                           axis=1), axis=1)
-    dpsi *= -1j * basis.hbar
-    m = basis.psis @ dpsi.T * basis.dq
-    return 0.5 * (m + m.conj().T)  # hermitise spectral roundoff
 
 
 # ---------------------------------------------------------------------------

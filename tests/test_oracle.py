@@ -19,10 +19,10 @@ from chordwigner.oracle import (
     hermite_psi,
     inverse_weyl,
     lindblad_integrate,
-    momentum_matrix,
     moyal_star,
     poly_eval,
-    position_matrix,
+    _separable_potential,
+    _solve_on_box,
     purity,
     solve_eigenstates,
     weyl_transform,
@@ -38,10 +38,14 @@ quartic = make_system("quartic")
 # ---------------------------------------------------------------------------
 
 def test_harmonic_spectrum():
-    basis = solve_eigenstates(harmonic, hbar=1.0, count=21)
-    assert_allclose(basis.energies, np.arange(21) + 0.5, atol=1e-4)
-    gram = basis.psis @ basis.psis.T * basis.dq
-    assert_allclose(gram, np.eye(21), atol=1e-8)
+    # at (0.05, 30) a box much wider than level 29's turning point makes
+    # the 512-point grid step too coarse for its momenta
+    for hbar, count in ((1.0, 21), (0.05, 30)):
+        basis = solve_eigenstates(harmonic, hbar=hbar, count=count)
+        assert_allclose(basis.energies, hbar * (np.arange(count) + 0.5),
+                        rtol=1e-8)
+        gram = basis.psis @ basis.psis.T * basis.dq
+        assert_allclose(gram, np.eye(count), atol=1e-8)
 
 
 def test_harmonic_wavefunctions_match_hermite():
@@ -72,6 +76,27 @@ def test_quartic_spectrum_monotone_and_residual():
                 + basis.vgrid * psi)
         res = np.linalg.norm(hpsi - basis.energies[n] * psi)
         assert res / np.linalg.norm(basis.energies[n] * psi) < 1e-8
+
+
+def test_quartic_high_levels_match_fixed_box():
+    # level 39's turning point sizes the box; a box of 180, 20 times
+    # wider, puts E_1 at 0.129 instead of 0.035
+    basis = solve_eigenstates(quartic, hbar=0.05, count=40)
+    ref = _solve_on_box(_separable_potential(quartic), 0.05, 30, 1024, 4.0)
+    assert_allclose(basis.energies[:30], ref.energies, rtol=1e-10)
+
+
+def test_unresolved_momentum_raises():
+    # level 119 at hbar 0.05 needs momenta beyond the Nyquist limit of a
+    # 512-point grid over its box
+    with pytest.raises(OracleError, match="Nyquist"):
+        solve_eigenstates(harmonic, hbar=0.05, count=120, n_grid=512)
+
+
+def test_periodic_potential_raises():
+    # cos q has a well every 2 pi, so the states spread over the box
+    with pytest.raises(OracleError, match="box edge"):
+        solve_eigenstates(make_system("pendulum"), hbar=0.05, count=10)
 
 
 # ---------------------------------------------------------------------------
