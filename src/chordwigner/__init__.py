@@ -14,7 +14,6 @@ from .flow import (  # noqa: F401
     hamiltonian_flow,
     make_system,
     periodic_orbit,
-    poisson_bracket,
     polynomial_system,
     shell_average,
     shell_start,

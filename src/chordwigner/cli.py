@@ -53,7 +53,7 @@ from .lindblad import (
     write_trace,
 )
 from .normalization import run_suite
-from .oracle import OracleError, moyal_star
+from .oracle import OracleError, _poly_diff, _poly_mul, moyal_star
 from .projection import density_matrix_sc, swapped_shell, write_element_grid
 from .shells import Chord, build_shell, quantize_energy
 from .wigner import eval_grid, pure_state, spectral_state
@@ -379,14 +379,9 @@ def run_oracle_compare(cfg: Dict, out: Path) -> List[str]:
 
 def _poly_poisson(a: Dict, b: Dict) -> Dict:
     """{A, B} for p^i q^j coefficient tables, dq A dp B - dp A dq B."""
-    out: Dict = {}
-    for (i, j), c in a.items():
-        for (k, l), d in b.items():
-            coeff = c * d * (j * k - i * l)
-            if coeff == 0:
-                continue
-            key = (i + k - 1, j + l - 1)
-            out[key] = out.get(key, 0.0) + coeff
+    out = _poly_mul(_poly_diff(a, 1), _poly_diff(b, 0))
+    for key, val in _poly_mul(_poly_diff(a, 0), _poly_diff(b, 1)).items():
+        out[key] = out.get(key, 0.0) - val
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -479,11 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="JSON experiment configuration")
         cmd.add_argument("--out", default=".",
                          help="output directory (created if absent)")
-        if name == "evolve":
-            cmd.add_argument("--t", type=float, default=None,
-                             help="shortcut: evolve to t over 9 samples")
-            cmd.add_argument("--channels", default=None,
-                             help="shortcut: comma-separated q/p symbols")
     return parser
 
 
@@ -491,10 +481,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if getattr(args, "t", None) is not None:
-            cfg["times"] = {"t_final": args.t, "n": 9}
-        if getattr(args, "channels", None):
-            cfg["channels"] = args.channels.split(",")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         artifacts = COMMANDS[args.command](cfg, out)

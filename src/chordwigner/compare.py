@@ -162,8 +162,9 @@ def check_trace_factor(tolerance: float = 0.10) -> CheckResult:
     = (1/3) sqrt(12 hbar) Gamma(1/2) cos(pi/4); with the prefactor
     1 / (4 pi sqrt(2 pi hbar)) the two ends sum to exactly 1/sqrt(3),
     whatever a is.  The Maslov-offset variant gives sqrt(2/3) the same
-    way and is reported alongside.  Passing also needs the values to
-    vary by under 5% across hbar.
+    way; detail records that constant as berry_constant, without
+    computing the variant.  Passing also needs the values to vary by
+    under 5% across hbar.
     """
     shell = build_shell(make_system("harmonic"), 2.0)
     vals = {h: direct_trace(shell, h).value for h in (0.1, 0.05, 0.025)}

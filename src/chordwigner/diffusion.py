@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .flow import HamiltonianSystem, poisson_bracket, shell_average
+from .flow import HamiltonianSystem, periodic_orbit, shell_start
 from .lindblad import LindbladChannel, _require_hermitian
+from .shells import TWO_PI
 
 
 def bracket_rate(energy: float, channels: Sequence[LindbladChannel],
@@ -22,15 +23,17 @@ def bracket_rate(energy: float, channels: Sequence[LindbladChannel],
     """sum_j <|{H, L_j}|^2> averaged over the closed shell at the energy.
 
     The coefficient of tau^2 in the short-chord damping exponent
-    (t / 2 hbar) * rate * tau^2.
+    (t / 2 hbar) * rate * tau^2.  Along the orbit {H, L} = -dL/dt, so
+    the time average is the Parseval sum  sum_k (2 pi k / T)^2 |L_k|^2
+    over the Fourier modes L_k of L at the periodic_orbit samples, one
+    orbit for all channels.
     """
     _require_hermitian(channels)
-    total = 0.0
-    for ch in channels:
-        total += shell_average(
-            system, energy,
-            lambda pts: poisson_bracket(system.energy, ch.func, pts) ** 2)
-    return float(total)
+    period, pts = periodic_orbit(system, shell_start(system, energy))
+    n = len(pts)
+    omega2 = (TWO_PI / period * np.fft.fftfreq(n, d=1.0 / n)) ** 2
+    return float(sum(np.sum(omega2 * np.abs(np.fft.fft(ch(pts)) / n) ** 2)
+                     for ch in channels))
 
 
 def window_width(epsilon0: float, t: float, energy: float,
@@ -43,8 +46,8 @@ def window_width(epsilon0: float, t: float, energy: float,
     window factor exp(-(eps tau / hbar)^2 / 2) gives the slope
     hbar * rate for the energy variance eps^2.
 
-    Pass a precomputed rate when sweeping t; the shell average behind
-    bracket_rate is the expensive part.
+    Pass a precomputed rate when sweeping t; the orbit integration
+    behind bracket_rate is the expensive part.
     """
     if epsilon0 < 0 or t < 0:
         raise ValueError("epsilon0 and t must be nonnegative")

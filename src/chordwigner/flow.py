@@ -1,11 +1,10 @@
 """Classical phase-space primitives for 1-DOF hamiltonian systems.
 
-Phase points are numpy arrays ``[p, q]`` -- momentum first.  The symplectic
-algebra (skew product, Poisson brackets) and the two adaptive DOP853
-integrations defined here -- the dense flow of a batch of tips and the
-closed orbit through a point -- are the substrate for everything
-downstream: shell construction, quantization, chord geometry,
-decoherence integrals.
+Phase points are numpy arrays ``[p, q]`` -- momentum first.  The skew
+product and the two adaptive DOP853 integrations defined here -- the
+dense flow of a batch of tips and the closed orbit through a point --
+are the substrate for everything downstream: shell construction,
+quantization, chord geometry, decoherence integrals.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ import numpy as np
 __all__ = [
     "J",
     "skew",
-    "poisson_bracket",
     "HamiltonianSystem",
     "make_system",
     "polynomial_system",
@@ -55,20 +53,6 @@ def skew(a, b):
     b = np.asarray(b, dtype=float)
     l = a.shape[-1] // 2
     return np.sum(a[..., :l] * b[..., l:] - a[..., l:] * b[..., :l], axis=-1)
-
-
-def poisson_bracket(f: Callable, g: Callable, x, step: float = 1e-6):
-    """{f, g} = df/dq dg/dp - df/dp dg/dq by central differences at x."""
-    x = np.asarray(x, dtype=float)
-    ep = np.zeros_like(x)
-    ep[..., 0] = step
-    eq = np.zeros_like(x)
-    eq[..., 1] = step
-    dfp = (f(x + ep) - f(x - ep)) / (2 * step)
-    dfq = (f(x + eq) - f(x - eq)) / (2 * step)
-    dgp = (g(x + ep) - g(x - ep)) / (2 * step)
-    dgq = (g(x + eq) - g(x - eq)) / (2 * step)
-    return dfq * dgp - dfp * dgq
 
 
 @dataclass(frozen=True)
@@ -143,10 +127,6 @@ class Trajectory:
     @property
     def final(self):
         return self.points[-1]
-
-    def energy_drift(self, system: HamiltonianSystem):
-        e = system.energy(self.points)
-        return np.max(np.abs(e - e[0]))
 
 
 def _tip_flow(system, x0, t: float):
@@ -225,23 +205,24 @@ def _closed_orbit(system, x0, t_max: float = 400.0, dense: bool = False):
     return period, sol.sol, float(sol.y_events[0][0][2])
 
 
-def find_period(system, x0, t_max: float = 400.0) -> float:
+def find_period(system, x0) -> float:
     """Period of the closed orbit through x0 (first section return)."""
-    return _closed_orbit(system, x0, t_max)[0]
+    return _closed_orbit(system, x0)[0]
 
 
-def periodic_orbit(system, x0, n: int = 2048):
-    """(period, samples): n points uniformly spaced in time along the orbit,
-    read off the dense output of one adaptive integration."""
+def periodic_orbit(system, x0):
+    """(period, samples): 2048 points uniformly spaced in time along the
+    orbit, read off the dense output of one adaptive integration."""
     period, dense, _ = _closed_orbit(system, x0, dense=True)
-    return period, dense(period * np.arange(n) / n)[:2].T
+    return period, dense(period * np.arange(2048) / 2048)[:2].T
 
 
-def shell_start(system, energy: float, p_max: float = 1e3):
-    """A point on the H = energy shell, searched on the q = 0 then p = 0 axes."""
+def shell_start(system, energy: float):
+    """A point on the H = energy shell, searched on the q = 0 then p = 0
+    axes out to 1e3."""
     from scipy.optimize import brentq
 
-    grid = np.concatenate([[0.0], np.geomspace(1e-6, p_max, 200)])
+    grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 200)])
     for axis in (0, 1):
         def f(s):
             x = np.zeros(2)
@@ -262,10 +243,7 @@ def shell_start(system, energy: float, p_max: float = 1e3):
     raise ShellError(f"energy shell H = {energy} is empty on both axes")
 
 
-def shell_average(system, energy: float, func: Callable, n: int = 2048,
-                  x0=None) -> float:
+def shell_average(system, energy: float, func: Callable) -> float:
     """Time average of func over the closed orbit at the given energy."""
-    if x0 is None:
-        x0 = shell_start(system, energy)
-    _, pts = periodic_orbit(system, x0, n=n)
+    _, pts = periodic_orbit(system, shell_start(system, energy))
     return float(np.mean(func(pts)))

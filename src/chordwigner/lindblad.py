@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import simpson
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .flow import HamiltonianSystem, _tip_flow
@@ -99,10 +99,6 @@ class DecoherenceRecord:
     def distance(self) -> float:
         return float(np.sqrt(max(self.d2, 0.0)))
 
-    def partial_d2(self) -> np.ndarray:
-        """Cumulative D^2 on the sample grid (nondecreasing)."""
-        return cumulative_simpson(self.integrand, x=self.times, initial=0.0)
-
 
 @dataclass
 class EvolvedChord:
@@ -180,16 +176,15 @@ def shell_d2(shell: ShellSpec, theta_a, theta_b, t: float,
     return cdist(feats[:ta.size], feats[ta.size:], "sqeuclidean")
 
 
-def _record(flow: Callable, channels: Sequence[LindbladChannel], t: float,
-            n_steps: Optional[int] = None) -> DecoherenceRecord:
+def _record(flow: Callable, channels: Sequence[LindbladChannel],
+            t: float) -> DecoherenceRecord:
     """D_t on [0, t] read off a dense flow of the (x+, x-) tip pair:
-    composite Simpson on n_steps (made even) equal intervals, by default
-    one per 1e-3 and at least 64.  At t = 0 the grid is the single node
-    0, where the integrand is sampled and D^2 is 0."""
+    composite Simpson on equal intervals, one per 1e-3, at least 64 and
+    an even count.  At t = 0 the grid is the single node 0, where the
+    integrand is sampled and D^2 is 0."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if n_steps is None:
-        n_steps = max(64, int(np.ceil(t / 1e-3)))
+    n_steps = max(64, int(np.ceil(t / 1e-3)))
     n_steps += n_steps % 2
     times = np.linspace(0.0, t, n_steps + 1) if t > 0 else np.zeros(1)
     tips = flow(times)
@@ -214,22 +209,20 @@ def _evolved(chord0: Chord, system: HamiltonianSystem, rec: DecoherenceRecord,
 
 
 def decoherence_distance(x_plus0, x_minus0, system: HamiltonianSystem,
-                         channels: Sequence[LindbladChannel], t: float,
-                         n_steps: Optional[int] = None) -> DecoherenceRecord:
+                         channels: Sequence[LindbladChannel],
+                         t: float) -> DecoherenceRecord:
     """D_t from the two tip trajectories: one adaptive dense flow of the
-    pair, sampled on a composite-Simpson grid of n_steps (made even) equal
-    intervals, by default one per 1e-3 and at least 64.  For tips on a
-    shell of this system, shell_d2 gives the same number from spline
+    pair, sampled on the composite-Simpson grid of _record.  For tips on
+    a shell of this system, shell_d2 gives the same number from spline
     lookups."""
     _require_hermitian(channels)
     flow = _tip_flow(system, np.stack([x_plus0, x_minus0]), t)
-    return _record(flow, channels, t, n_steps)
+    return _record(flow, channels, t)
 
 
 def evolve_contribution(chord0: Chord, system: HamiltonianSystem,
                         channels: Sequence[LindbladChannel], t: float,
-                        hbar: float,
-                        n_steps: Optional[int] = None) -> EvolvedChord:
+                        hbar: float) -> EvolvedChord:
     """Continuous evolution of one chord contribution.
 
     Tips follow the classical flow; the action obeys
@@ -237,11 +230,10 @@ def evolve_contribution(chord0: Chord, system: HamiltonianSystem,
     integral is exact); channels multiply the amplitude by
     exp(-D_t^2 / 2 hbar) and never touch the phase.  The wedge, tau and
     theta labels of the returned chord stay frozen at their t=0 values
-    (amplitude transport is held constant).
+    (amplitude transport is held constant).  The one-time case of
+    evolution_trace.
     """
-    rec = decoherence_distance(chord0.x_plus, chord0.x_minus, system,
-                               channels, t, n_steps=n_steps)
-    return _evolved(chord0, system, rec, hbar)
+    return evolution_trace(chord0, system, channels, [t], hbar)[0][1]
 
 
 def trotter_evolve(chord0: Chord, system: HamiltonianSystem,

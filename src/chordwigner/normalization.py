@@ -22,6 +22,8 @@ from .shells import ShellSpec
 TWO_PI = 2.0 * np.pi
 # subinterval cap of each adaptive half of the direct-trace integral
 _QUAD_LIMIT = 400
+# trapezoid nodes of the direct trace's inner angle average
+_N_INNER = 64
 
 
 @dataclass(frozen=True)
@@ -33,19 +35,18 @@ class AngleIntegralReport:
     est_error: float     # bounded by the observed refinement difference
 
 
-def purity_t0(shell: ShellSpec, hbar: float,
-              amplitude_scale: float = 1.0) -> float:
+def purity_t0(shell: ShellSpec, hbar: float) -> float:
     """tr rho^2 at t = 0 from the angle-pair form of 2 pi hbar int W^2 dx.
 
     The squared chord amplitude carries 1/|wedge| and the centre ->
     angle-pair Jacobian carries |wedge|/8 (tip swap included).  The
     product cancels algebraically, so the integrand is the same constant
     at every angle pair and the torus integral is that constant times
-    (2 pi)^2: amplitude_scale^2 for every shell, up to roundoff.
+    (2 pi)^2: 1 for every shell, up to roundoff.
     """
     if shell.period <= 0:
         raise ValueError("shell has no positive period")
-    c2 = (amplitude_scale * 2.0 / (np.pi * np.sqrt(TWO_PI * hbar))) ** 2
+    c2 = (2.0 / (np.pi * np.sqrt(TWO_PI * hbar))) ** 2
     # cos^2 averaged over oscillations to 1/2
     integrand = TWO_PI * hbar * 0.125 * 0.5 * c2
     return float(integrand * TWO_PI**2)
@@ -73,7 +74,7 @@ def purity_decay(shell: ShellSpec, system: HamiltonianSystem,
         value - float(damp[::2, ::2].mean())))
 
 
-def direct_trace(shell: ShellSpec, hbar: float, n_inner: int = 64,
+def direct_trace(shell: ShellSpec, hbar: float,
                  maslov: bool = False) -> AngleIntegralReport:
     """Numeric tr rho: oscillatory angle-pair integral of the tip-wedge
     amplitude, |wedge|^{1/2} cos(S/hbar - offset) / (4 pi sqrt(2 pi hbar)).
@@ -103,21 +104,21 @@ def direct_trace(shell: ShellSpec, hbar: float, n_inner: int = 64,
     caught: list = []
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always", IntegrationWarning)
-        i1, e1 = quad(lambda u: ring(u, n_inner), 0.0, np.pi,
+        i1, e1 = quad(lambda u: ring(u, _N_INNER), 0.0, np.pi,
                       limit=_QUAD_LIMIT)
-        i2, e2 = quad(lambda u: ring(u, n_inner), np.pi, TWO_PI,
+        i2, e2 = quad(lambda u: ring(u, _N_INNER), np.pi, TWO_PI,
                       limit=_QUAD_LIMIT)
         caught = [w for w in rec if issubclass(w.category,
                                                IntegrationWarning)]
     value = pref * TWO_PI * (i1 + i2)
     # inner-grid refinement probe away from the kinks
     probes = (0.41, 1.27, 2.33, np.pi + 0.9, np.pi + 2.1)
-    refine = max(abs(ring(u, n_inner) - ring(u, 2 * n_inner))
+    refine = max(abs(ring(u, _N_INNER) - ring(u, 2 * _N_INNER))
                  for u in probes)
     est = pref * TWO_PI * (e1 + e2 + TWO_PI * refine)
     if caught:
         est = max(est, abs(value) * 0.05)
-    return AngleIntegralReport(value=float(value), grid=n_inner,
+    return AngleIntegralReport(value=float(value), grid=_N_INNER,
                                est_error=float(est))
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "inverse_weyl",
     "wigner_of_state",
     "moyal_star",
-    "poly_eval",
     "lindblad_integrate",
     "gaussian_window_weights",
     "energy_mean",
@@ -351,15 +350,6 @@ def _poly_mul(pa: dict, pb: dict) -> dict:
     return out
 
 
-def poly_eval(poly: dict, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    p, q = x[..., 0], x[..., 1]
-    tot = np.zeros_like(p, dtype=complex)
-    for (a, b), c in poly.items():
-        tot = tot + c * p**a * q**b
-    return tot
-
-
 def _star_poly(pa: dict, pb: dict, hbar: float) -> dict:
     """Finite Moyal series for polynomial symbols (exact)."""
     out: dict = {}
@@ -388,40 +378,6 @@ def _star_poly(pa: dict, pb: dict, hbar: float) -> dict:
             break
         m += 1
     return {k: c for k, c in out.items() if c != 0}
-
-
-def _spectral_derivs(grid: np.ndarray, ps, qs, dq_order: int, dp_order: int):
-    gh = np.fft.fft2(grid)
-    kq = 2 * np.pi * np.fft.fftfreq(len(qs), d=qs[1] - qs[0])
-    kp = 2 * np.pi * np.fft.fftfreq(len(ps), d=ps[1] - ps[0])
-    gh = gh * (1j * kq[:, None]) ** dq_order * (1j * kp[None, :]) ** dp_order
-    return np.fft.ifft2(gh)
-
-
-def _star_mixed(poly: dict, grid: np.ndarray, ps, qs, hbar: float,
-                poly_left: bool) -> np.ndarray:
-    """poly * grid (or grid * poly): finite series, spectral grid derivatives."""
-    pgrid, qgrid = np.meshgrid(ps, qs, indexing="xy")  # grid is (q, p)
-    x = np.stack([pgrid, qgrid], axis=-1)
-    out = np.zeros_like(grid, dtype=complex)
-    deg = max((a + b for a, b in poly), default=0)
-    for m in range(deg + 1):
-        coeff = (1j * hbar / 2) ** m / math.factorial(m)
-        for r in range(m + 1):
-            # Lambda^m term: the left factor takes dq^{m-r} dp^r, the
-            # right factor dp^{m-r} dq^r, with sign (-1)^r
-            qd, pd = (m - r, r) if poly_left else (r, m - r)
-            da = poly
-            for _ in range(qd):
-                da = _poly_diff(da, 1)
-            for _ in range(pd):
-                da = _poly_diff(da, 0)
-            if not da:
-                continue
-            sign = (-1) ** r * math.comb(m, r)
-            dg = _spectral_derivs(grid, ps, qs, m - qd, m - pd)
-            out = out + coeff * sign * poly_eval(da, x) * dg
-    return out
 
 
 def _star_grid(a: np.ndarray, b: np.ndarray, ps, qs, hbar: float) -> np.ndarray:
@@ -461,20 +417,15 @@ def moyal_star(a, b, ps=None, qs=None, hbar: float = 1.0):
     Polynomial symbols are {(i, j): c} tables meaning sum c p^i q^j and
     multiply through the exact finite series; grid symbols are (q, p)
     arrays over (qs, ps) and multiply through the spectral twisted
-    convolution.  Mixed input pairs are supported with the polynomial
-    factor differentiated analytically.
+    convolution.  A table paired with a grid raises ValueError.
     """
     a_poly, b_poly = isinstance(a, dict), isinstance(b, dict)
     if a_poly and b_poly:
         return _star_poly(a, b, hbar)
+    if a_poly or b_poly:
+        raise ValueError("moyal_star needs two tables or two grids")
     if ps is None or qs is None:
         raise ValueError("grid star product needs ps and qs")
-    if a_poly:
-        return _star_mixed(a, np.asarray(b, dtype=complex), ps, qs, hbar,
-                           poly_left=True)
-    if b_poly:
-        return _star_mixed(b, np.asarray(a, dtype=complex), ps, qs, hbar,
-                           poly_left=False)
     return _star_grid(np.asarray(a, dtype=complex),
                       np.asarray(b, dtype=complex), ps, qs, hbar)
 
@@ -588,15 +539,10 @@ def lindblad_integrate(state: TruncatedState, h_op, l_ops: Sequence,
 # state builders and observables
 # ---------------------------------------------------------------------------
 
-def gaussian_window_weights(energies, e0: float, eps: float,
-                            shape: str = "gaussian") -> np.ndarray:
+def gaussian_window_weights(energies, e0: float, eps: float) -> np.ndarray:
+    """exp(-(E - e0)^2 / 2 eps^2) over the energies, normalized to sum 1."""
     e = np.asarray(energies, dtype=float)
-    if shape == "gaussian":
-        w = np.exp(-0.5 * ((e - e0) / eps) ** 2)
-    elif shape == "lorentzian":
-        w = 1.0 / ((e - e0) ** 2 + eps**2)
-    else:
-        raise ValueError(f"unknown window shape {shape!r}")
+    w = np.exp(-0.5 * ((e - e0) / eps) ** 2)
     return w / np.sum(w)
 
 

@@ -165,15 +165,14 @@ class Chord:
 
 
 def build_shell(system: HamiltonianSystem, energy: float,
-                n_samples: int = 2048, x0=None) -> ShellSpec:
+                n_samples: int = 2048) -> ShellSpec:
     """Sample the closed orbit H = energy and wrap it in spline accessors.
 
     Samples are Newton-projected back onto the shell after integration;
     the cumulative action F is computed spectrally from p dq/dtheta, so
     chord actions are accurate to the spline interpolation error.
     """
-    if x0 is None:
-        x0 = shell_start(system, energy)
+    x0 = shell_start(system, energy)
     period, orbit, _ = _closed_orbit(system, x0, dense=True)
     pts = orbit(period * np.arange(n_samples) / n_samples)[:2].T
     closure = float(np.linalg.norm(orbit(period)[:2] - x0))
@@ -358,18 +357,16 @@ def _search_chords(shell: ShellSpec, xs,
         degenerate=degenerate, dropped=dropped)
 
 
-def find_chords(shell: ShellSpec, x,
-                caustic_tol: float = 1e-3) -> List[Chord]:
+def find_chords(shell: ShellSpec, x) -> List[Chord]:
     """All shell chords whose midpoint is x.
 
     A coarse midpoint scan seeds damped Newton iterations on the tip
     angles; solutions are canonicalised to theta_+ - theta_- in [0, pi]
     (short arc) and deduplicated.  Points outside the shell have no
     chords; a point on the shell owns a single zero-length chord, flagged
-    as caustic.
+    as caustic.  A chord is caustic where |wedge| < 1e-3 speed_scale.
     """
-    found = _search_chords(shell, np.asarray(x, dtype=float)[None],
-                           caustic_tol)
+    found = _search_chords(shell, np.asarray(x, dtype=float)[None])
     xp, xm = shell.point(found.theta_plus), shell.point(found.theta_minus)
     return [Chord(x_plus=xp[k], x_minus=xm[k],
                   theta_plus=float(found.theta_plus[k]),
@@ -386,8 +383,7 @@ def _amplitude(wedge, hbar: float):
     return pref / np.sqrt(np.abs(wedge))
 
 
-def chord_amplitude(chord: Chord, hbar: float,
-                    amplitude_scale: float = 1.0) -> float:
+def chord_amplitude(chord: Chord, hbar: float) -> float:
     """Stationary-phase amplitude  2 / (pi sqrt(2 pi hbar)) / sqrt|wedge|.
 
     Undefined on caustic (vanishing-wedge) chords: callers must branch on
@@ -395,7 +391,7 @@ def chord_amplitude(chord: Chord, hbar: float,
     """
     if chord.caustic:
         raise NumericalError("amplitude undefined on a caustic chord")
-    return amplitude_scale * _amplitude(chord.wedge, hbar)
+    return _amplitude(chord.wedge, hbar)
 
 
 def _small_oscillation_period(system: HamiltonianSystem) -> float:

@@ -1,10 +1,13 @@
 """End-to-end runs of the experiment harness on small configs."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chordwigner
 from chordwigner import (build_shell, chord_amplitude, find_chords,
                          make_system, momentum_rep_element, position_channel)
 from chordwigner.cli import (COMMANDS, ConfigError, load_config, main,
@@ -71,12 +74,11 @@ def test_evolve_flag_shortcuts(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", {
         "system": "harmonic", "hbar": 0.05,
         "x_plus": [0.0, 1.0], "x_minus": [0.0, -1.0],
-        "times": [0.0],
+        "times": {"t_final": 0.5, "n": 9}, "channels": ["q", "p"],
     })
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path),
-                 "--t", "0.5", "--channels", "q,p"]) == 0
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert len(lines) == 10                       # 9 samples from --t
+    assert len(lines) == 10                       # 9 samples to t_final
     assert float(lines[-1].split(",")[0]) == 0.5
     assert float(lines[-1].split(",")[-1]) < 1.0  # channels attached
 
@@ -252,9 +254,14 @@ def test_conventions_overridable():
 
 def test_console_script_entry(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", {"hbar": 0.1, "grid_n": 32})
+    # the child imports the package from where this process found it,
+    # installed or not
+    src = str(Path(chordwigner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "chordwigner.cli", "star-check",
          "--config", cfg, "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "star.json" in proc.stdout

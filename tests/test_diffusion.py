@@ -41,6 +41,16 @@ def test_bracket_rate_both_quadratures():
         bracket_rate(0.5, [polynomial_channel({(1, 0): 1j})], harmonic)
 
 
+@pytest.mark.parametrize("name, k", [("harmonic", 2), ("quartic", 4)])
+def test_bracket_rate_meets_virial_theorem(name, k):
+    # {H, q} = -p, and for V ~ |q|^k the virial theorem gives
+    # <p^2> = 2 k E / (k + 2) on the orbit at energy E
+    system = make_system(name)
+    for energy in (0.05, 0.5, 2.0, 10.0):
+        assert_allclose(bracket_rate(energy, [position_channel()], system),
+                        2 * k * energy / (k + 2), rtol=5e-11)
+
+
 def test_window_width_example_and_linearity():
     eps = window_width(0.1, 0.0, 0.5, [position_channel()], harmonic, 0.05)
     assert eps == 0.1
@@ -66,9 +76,7 @@ def test_short_chord_bridges_decay_rate():
     # hermitian_decay_rate on a short chord ~ (tau^2 / 2 hbar) |{H,L}|^2
     hbar = 0.05
     x = np.array([0.5, 0.6])
-    lval = lambda pt: pt[..., 1]
-    from chordwigner.flow import poisson_bracket
-    br2 = poisson_bracket(harmonic.energy, lval, x) ** 2
+    br2 = x[0] ** 2  # {H, q} = -dH/dp = -p
     errs = []
     for tau in (0.2, 0.1, 0.05):
         fwd = hamiltonian_flow(harmonic, x, tau / 2, dt=tau / 400).final

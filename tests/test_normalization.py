@@ -44,11 +44,6 @@ def test_purity_t0_is_one_for_any_shell():
         assert purity_t0(sh, HBAR) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_purity_t0_refinement_and_scaling():
-    assert purity_t0(SHELL, HBAR, amplitude_scale=1.3) == pytest.approx(
-        1.69, abs=1e-12)
-
-
 def test_purity_decay_trivial_cases():
     assert purity_decay(SHELL, HARM, [position_channel()], 0.0,
                         HBAR).value == 1.0

@@ -20,7 +20,6 @@ from chordwigner.oracle import (
     inverse_weyl,
     lindblad_integrate,
     moyal_star,
-    poly_eval,
     _separable_potential,
     _solve_on_box,
     purity,
@@ -228,10 +227,10 @@ def test_star_poly_canonical_commutator():
     psym = {(1, 0): 1.0}
     comm_dict = moyal_star(qsym, psym, hbar=hbar)
     back = moyal_star(psym, qsym, hbar=hbar)
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(40, 2))
-    comm = poly_eval(comm_dict, x) - poly_eval(back, x)
-    assert_allclose(comm, np.full(40, 1j * hbar), atol=1e-14)
+    comm = {k: comm_dict.get(k, 0.0) - back.get(k, 0.0)
+            for k in comm_dict.keys() | back.keys()}
+    assert_allclose(comm.pop((0, 0)), 1j * hbar, atol=1e-14)
+    assert_allclose(list(comm.values()), 0.0, atol=1e-14)
 
 
 def test_star_with_constant_is_identity():
@@ -268,16 +267,16 @@ def test_star_associativity_smooth_symbols():
     assert np.max(np.abs(left - right)) < 1e-6 * np.max(np.abs(left))
 
 
-def test_mixed_star_eigen_identity():
-    # H * W0 = E0 W0 for the harmonic ground state, with polynomial H
+def test_mixed_star_pair_raises():
+    # a coefficient table times a grid symbol is not supported either way
     hbar = 0.1
     ps, qs, pp, qq = sym_grid(hbar)
     w0 = np.exp(-(pp**2 + qq**2) / hbar) / (np.pi * hbar)
     hpoly = {(2, 0): 0.5, (0, 2): 0.5}
-    hw = moyal_star(hpoly, w0, ps, qs, hbar)
-    assert np.max(np.abs(hw - 0.5 * hbar * w0)) < 1e-8 * np.max(w0)
-    wh = moyal_star(w0, hpoly, ps, qs, hbar)
-    assert np.max(np.abs(wh - 0.5 * hbar * w0)) < 1e-8 * np.max(w0)
+    with pytest.raises(ValueError):
+        moyal_star(hpoly, w0, ps, qs, hbar)
+    with pytest.raises(ValueError):
+        moyal_star(w0, hpoly, ps, qs, hbar)
 
 
 def test_grid_star_plane_wave_bopp_shift():
