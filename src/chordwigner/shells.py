@@ -34,9 +34,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-# Points per block of the batched chord search.  It bounds the working
-# arrays: the even-odd test holds block x n_samples values, the seed
-# scan block x _N_SCAN^2.
+# Block size of the batched chord search.  It bounds the working arrays:
+# the even-odd test tabulates crossings for block distinct p values at a
+# time (block x n_samples values), the seed scan holds block inside
+# points x _N_SCAN^2.
 _BLOCK = 16
 # Shell samples per axis of the midpoint scan that seeds the Newton.
 _N_SCAN = 64
@@ -129,15 +130,31 @@ class ShellSpec:
     def contains(self, x):
         """Even-odd ray test of x against the sampled shell polygon.
 
-        x may be a stack (..., 2); a single point gives a bool.
+        The ray runs from x towards +q.  The q values where the polygon
+        crosses each distinct p of the input are tabulated once, _BLOCK
+        values of p at a time, and a point is inside when an odd number
+        of them lie above it.  x may be a stack (..., 2); a single point
+        gives a bool.
         """
-        x = np.asarray(x, dtype=float)[..., None, :]
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1, 2)
+        pu, col = np.unique(flat[:, 0], return_inverse=True)
         p0, p1 = self.points, np.roll(self.points, -1, axis=0)
-        y0, y1 = p0[:, 0] - x[..., 0], p1[:, 0] - x[..., 0]
-        crosses = (y0 > 0) != (y1 > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_at = p0[:, 1] + y0 / (y0 - y1) * (p1[:, 1] - p0[:, 1])
-        inside = np.sum(crosses & (q_at > x[..., 1]), axis=-1) % 2 == 1
+        rows, q_at = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        for b in range(0, len(pu), _BLOCK):
+            y0 = p0[:, 0] - pu[b:b + _BLOCK, None]
+            y1 = p1[:, 0] - pu[b:b + _BLOCK, None]
+            r, e = np.nonzero((y0 > 0) != (y1 > 0))
+            y0, y1 = y0[r, e], y1[r, e]
+            rows.append(b + r)
+            q_at.append(p0[e, 1] + y0 / (y0 - y1) * (p1[e, 1] - p0[e, 1]))
+        rows, q_at = np.concatenate(rows), np.concatenate(q_at)
+        # rows is sorted, so a crossing's rank within its p is its slot
+        slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        table = np.full((len(pu), slot.max(initial=-1) + 1), -np.inf)
+        table[rows, slot] = q_at
+        above = np.sum(table[col] > flat[:, 1, None], axis=-1)
+        inside = (above % 2 == 1).reshape(x.shape[:-1])
         return inside if inside.ndim else bool(inside)
 
 
@@ -225,6 +242,21 @@ def _lstsq(a, b):
     return np.einsum("kji,kj->ki", vt, c)
 
 
+def _solve2(a, b):
+    """Stacked 2x2 systems a x = b by Cramer's rule where |det| > 1e-8
+    ||a||_F^2, so that cond(a) < 1e8; the other rows, the all-zero ones
+    among them, go to _lstsq and keep its minimum-norm cutoff."""
+    (a00, a01), (a10, a11) = a[:, 0].T, a[:, 1].T
+    det = a00 * a11 - a01 * a10
+    good = np.abs(det) > 1e-8 * np.sum(a * a, axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.stack([a11 * b[:, 0] - a01 * b[:, 1],
+                      a00 * b[:, 1] - a10 * b[:, 0]], axis=-1) / det[:, None]
+    if not good.all():
+        x[~good] = _lstsq(a[~good], b[~good])
+    return x
+
+
 def _newton_tips(shell: ShellSpec, x, tm, tp, hcell: float):
     """Damped Newton on midpoint(tm, tp) = x over stacked seeds: updates
     tm, tp in place and returns the mask of converged seeds."""
@@ -232,15 +264,14 @@ def _newton_tips(shell: ShellSpec, x, tm, tp, hcell: float):
     ok = np.zeros(len(x), dtype=bool)
     act = np.arange(len(x))
     for _ in range(40):
-        r = 0.5 * (shell.point(tm[act]) + shell.point(tp[act])) - x[act]
+        r = 0.5 * shell.point([tm[act], tp[act]]).sum(axis=0) - x[act]
         conv = np.linalg.norm(r, axis=-1) < tol
         ok[act[conv]] = True
         act, r = act[~conv], r[~conv]
         if not act.size:
             break
-        jac = 0.5 * np.stack([shell.velocity_theta(tm[act]),
-                              shell.velocity_theta(tp[act])], axis=-1)
-        step = np.clip(_lstsq(jac, -r), -2 * hcell, 2 * hcell)
+        jac = 0.5 * shell.velocity_theta([tm[act], tp[act]]).transpose(1, 2, 0)
+        step = np.clip(_solve2(jac, -r), -2 * hcell, 2 * hcell)
         tm[act] += step[:, 0]
         tp[act] += step[:, 1]
     return ok
@@ -264,13 +295,13 @@ class _ChordArrays(NamedTuple):
 
 
 def _inside(shell: ShellSpec, xs) -> np.ndarray:
-    """shell.contains over the points xs (n, 2), in blocks of _BLOCK; a
-    point outside the bounding box of shell.points is outside."""
-    lo, hi = shell.points.min(axis=0), shell.points.max(axis=0)
-    box = np.flatnonzero(np.all((xs >= lo) & (xs <= hi), axis=-1))
+    """shell.contains over the points xs (n, 2); a point outside the
+    bounding box of shell.points is outside."""
+    p, q = shell.points.T  # column reductions: axis=0 of (n, 2) is slow
+    box = ((xs[:, 0] >= p.min()) & (xs[:, 0] <= p.max())
+           & (xs[:, 1] >= q.min()) & (xs[:, 1] <= q.max()))
     inside = np.zeros(len(xs), dtype=bool)
-    for b in range(0, len(box), _BLOCK):
-        inside[box[b:b + _BLOCK]] = shell.contains(xs[box[b:b + _BLOCK]])
+    inside[box] = shell.contains(xs[box])
     return inside
 
 
@@ -364,7 +395,10 @@ def find_chords(shell: ShellSpec, x) -> List[Chord]:
     angles; solutions are canonicalised to theta_+ - theta_- in [0, pi]
     (short arc) and deduplicated.  Points outside the shell have no
     chords; a point on the shell owns a single zero-length chord, flagged
-    as caustic.  A chord is caustic where |wedge| < 1e-3 speed_scale.
+    as caustic.  A chord is caustic where |wedge| < 1e-3 speed_scale, a
+    fixed tolerance: eval_state and eval_grid flag with the state's
+    caustic_tol instead, so for any other caustic_tol their flags can
+    differ from these.
     """
     found = _search_chords(shell, np.asarray(x, dtype=float)[None])
     xp, xm = shell.point(found.theta_plus), shell.point(found.theta_minus)

@@ -5,7 +5,6 @@ inside the shell receives one oscillatory term per chord, W(x) =
 sum_k A_k cos(S_k/hbar - maslov).  A spectral state smooths the same
 sum with an energy-window factor per chord traversal time.
 """
-import csv
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -166,15 +165,15 @@ class WignerGridResult:
     state: SemiclassicalState
 
     def write_csv(self, path) -> None:
+        """One row per grid point, q outer and p inner, as the csv
+        module's excel dialect writes them: CRLF line ends, and no field
+        needs quotes."""
+        p, q = np.meshgrid(self.ps, self.qs)
+        cols = (p, q, self.values, self.n_chords, self.caustic.astype(int))
+        row = "{:.12g},{:.12g},{:.12g},{:d},{:d}\r\n".format
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["p", "q", "W", "n_chords", "caustic_flag"])
-            for i, q in enumerate(self.qs):
-                for k, p in enumerate(self.ps):
-                    w.writerow([f"{p:.12g}", f"{q:.12g}",
-                                f"{self.values[i, k]:.12g}",
-                                int(self.n_chords[i, k]),
-                                int(self.caustic[i, k])])
+            fh.write("p,q,W,n_chords,caustic_flag\r\n" + "".join(
+                row(*r) for r in zip(*(c.ravel().tolist() for c in cols))))
 
     def manifest(self) -> dict:
         return {

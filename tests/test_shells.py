@@ -13,13 +13,15 @@ from chordwigner import (
     ShellError,
     build_shell,
     chord_amplitude,
+    eval_grid,
     find_chords,
     make_system,
+    pure_state,
     quantize_energy,
 )
 from chordwigner import shells
 from chordwigner.flow import _closed_orbit
-from chordwigner.shells import _dedup, _search_chords
+from chordwigner.shells import _dedup, _search_chords, _solve2
 
 harmonic = make_system("harmonic")
 quartic = make_system("quartic")
@@ -213,6 +215,105 @@ def test_dedup_matches_sequential_loop(seeds):
         if keep:
             kept.setdefault(o, []).append((a, c))
     assert _dedup(owner, tm, tp).tolist() == want
+
+
+@pytest.fixture(scope="module")
+def builtin_shells():
+    return [build_shell(harmonic, 0.5), build_shell(quartic, 0.5),
+            build_shell(pendulum, -0.4)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 2), data=st.data())
+def test_contains_matches_per_edge_reference(builtin_shells,
+                                             even_odd_reference, which, data):
+    # coordinates are drawn from the widened bounding box, the samples'
+    # own coordinates (a sample's p puts a polygon vertex on the ray) and
+    # the box edges; a few p values shared by many points repeat each p
+    shell = builtin_shells[which]
+    lo, hi = shell.points.min(axis=0), shell.points.max(axis=0)
+
+    def coord(axis):
+        return st.one_of(
+            st.floats(lo[axis] - 0.2, hi[axis] + 0.2),
+            st.sampled_from(shell.points[:, axis].tolist()),
+            st.sampled_from([lo[axis], hi[axis]]))
+
+    pool = data.draw(st.lists(coord(0), min_size=1, max_size=6))
+    pts = data.draw(st.lists(
+        st.one_of(st.tuples(st.sampled_from(pool), coord(1)),
+                  st.sampled_from(shell.points.tolist())),
+        min_size=1, max_size=40))
+    xs = np.array(pts)
+    assert np.array_equal(shell.contains(xs), even_odd_reference(shell, xs))
+    assert np.array_equal(shell.contains(xs[None]),
+                          even_odd_reference(shell, xs[None]))
+    one = shell.contains(xs[0])
+    assert type(one) is bool and one == even_odd_reference(shell, xs[0])
+
+
+def _lstsq_rows(a, b):
+    return np.array([np.linalg.lstsq(ak, bk, rcond=None)[0]
+                     for ak, bk in zip(a, b)])
+
+
+def _assert_solves_like_lstsq(a, b):
+    # both are backward stable, so each row may differ by a few eps
+    # times its condition number, relative to the solution's size
+    got, want = _solve2(a, b), _lstsq_rows(a, b)
+    with np.errstate(divide="ignore"):
+        cond = np.minimum(np.linalg.cond(a), 1e300)
+    scale = np.linalg.norm(want, axis=-1)
+    err = np.linalg.norm(got - want, axis=-1)
+    assert np.all(err <= 16 * np.finfo(float).eps * cond * scale)
+
+
+def test_solve2_matches_lstsq_random_and_near_singular():
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=(500, 2, 2))
+    b = rng.normal(size=(500, 2))
+    _assert_solves_like_lstsq(a, b)
+    # rank one plus a perturbation from 1e-4 down to 1e-12: rows fall on
+    # both sides of Cramer's rule's 1e-8 det cutoff
+    u, v = rng.normal(size=(2, 500, 2))
+    delta = 10.0 ** rng.uniform(-12, -4, size=(500, 1, 1))
+    a = u[:, :, None] * v[:, None, :] + delta * rng.normal(size=(500, 2, 2))
+    det = np.abs(np.linalg.det(a)) / np.sum(a * a, axis=(1, 2))
+    assert (det > 1e-8).sum() > 50 and (det < 1e-8).sum() > 50
+    _assert_solves_like_lstsq(a, b)
+
+
+def test_solve2_rank_one_and_zero_take_minimum_norm():
+    # integer outer products have det == 0 exactly; float ones leave a
+    # rounding-noise det that Cramer's rule would divide by
+    rng = np.random.default_rng(15)
+    b = rng.normal(size=(300, 2))
+    for u, v in (rng.integers(-4, 5, size=(2, 300, 2)).astype(float),
+                 rng.normal(size=(2, 300, 2))):
+        a = u[:, :, None] * v[:, None, :]
+        want = _lstsq_rows(a, b)
+        err = np.linalg.norm(_solve2(a, b) - want, axis=-1)
+        assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=-1))
+    zero = np.zeros((4, 2, 2))
+    assert np.array_equal(_solve2(zero, b[:4]), np.zeros((4, 2)))
+
+
+def test_readme_harmonic_grid_never_falls_back_on_svd(monkeypatch):
+    # every Newton row of the README grid is well conditioned, so none
+    # may reach the SVD fallback; the zero system at the end shows that
+    # the count sees the fallback at all
+    rows, lstsq = [], shells._lstsq
+
+    def counting(a, b):
+        rows.append(len(a))
+        return lstsq(a, b)
+
+    monkeypatch.setattr(shells, "_lstsq", counting)
+    axis = np.linspace(-1.2, 1.2, 41)
+    grid = eval_grid(pure_state(harmonic, 0.05, energy=0.5), axis, axis)
+    assert grid.n_chords.sum() > 0 and sum(rows) == 0
+    _solve2(np.zeros((1, 2, 2)), np.zeros((1, 2)))
+    assert sum(rows) == 1
 
 
 def test_wedge_is_four_midpoint_jacobians():

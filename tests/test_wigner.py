@@ -1,6 +1,8 @@
 """Chord-sum Wigner states: frozen interface examples, linearity,
 window behaviour, oscillation geometry, and an exact-oracle mixture
 comparison."""
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -51,7 +53,8 @@ def test_momentum_parity_even_hamiltonian():
 @pytest.mark.parametrize("system, epsilon", [(harmonic, 0.0),
                                              (quartic, 0.05),
                                              (pendulum, 0.0)])
-def test_eval_grid_matches_pointwise_loop(system, epsilon):
+def test_eval_grid_matches_pointwise_loop(system, epsilon,
+                                          even_odd_reference):
     # the grid holds outside corners and the centre, where all three
     # shells are point-symmetric: every chord is a caustic diameter.  It
     # also holds the bounding-box edges of the shell samples and exact
@@ -67,7 +70,7 @@ def test_eval_grid_matches_pointwise_loop(system, epsilon):
     qs = np.union1d(np.linspace(-top[1], top[1], 9), pts[ks, 1])
     xs = np.stack(np.meshgrid(ps, qs), axis=-1).reshape(-1, 2)
     inside = _inside(shell, xs)
-    assert np.array_equal(inside, shell.contains(xs))
+    assert np.array_equal(inside, even_odd_reference(shell, xs))
     assert inside.sum() > 2 * _BLOCK
     grid = eval_grid(state, ps, qs)
     for i, q in enumerate(qs):
@@ -168,6 +171,31 @@ def test_grid_eval_emission(tmp_path):
     payload = res.manifest()
     assert payload["hbar"] == 0.05 and payload["epsilon"] == 0.02
     assert "maslov" in payload["conventions"]
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # the grid holds the caustic centre, points outside the shell and
+    # negative zeros, both as coordinates and as W values
+    st = pure_state(harmonic, hbar=0.05, energy=0.5)
+    axis = np.linspace(-1.2, 1.2, 13)
+    axis[6] = -0.0
+    res = eval_grid(st, ps=axis, qs=axis[::-1].copy())
+    outside = res.n_chords == 0
+    res.values[outside] = -0.0
+    assert res.caustic.any() and outside.any()
+    assert np.signbit(res.values[outside]).all()
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["p", "q", "W", "n_chords", "caustic_flag"])
+        for i, q in enumerate(res.qs):
+            for k, p in enumerate(res.ps):
+                w.writerow([f"{p:.12g}", f"{q:.12g}",
+                            f"{res.values[i, k]:.12g}",
+                            int(res.n_chords[i, k]), int(res.caustic[i, k])])
+    res.write_csv(tmp_path / "out.csv")
+    body = (tmp_path / "out.csv").read_bytes()
+    assert body == (tmp_path / "ref.csv").read_bytes()
+    assert b"\r\n-0,-0," in body and b",-0,0,0\r\n" in body
 
 
 def test_eigenshell_mixture_matches_oracle():
