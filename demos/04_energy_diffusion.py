@@ -48,7 +48,7 @@ rate = bracket_rate(energy, chan, system)
 rows = []
 print(f"\n  t     eps(t)   [eps0 = {eps0}]")
 for t in np.linspace(0.0, 2.0, 5):
-    eps = window_width(eps0, float(t), energy, chan, system, hbar, rate=rate)
+    eps = window_width(eps0, float(t), hbar, rate)
     rows.append({"t": float(t), "epsilon_predicted": eps})
     print(f"  {t:.1f}   {eps:.6f}")
 write_diffusion_report(out / "diffusion.csv", rows)

@@ -19,20 +19,22 @@ Shared config keys (per-command keys are documented on each runner):
   system     built-in name ("harmonic", "quartic", "pendulum") or
              {"coeffs": {"a,b": c}} for H = sum c p^a q^b
   hbar       Planck constant (required where physics happens)
-  shell      {"n": level} or {"energy": E}
+  shell      {"n": level} or {"energy": E}: exactly one of the two, or
+             the command exits 2
   channels   list of "q" / "p" / {"symbol": ..., "coupling": g} /
              {"coeffs": {"a,b": c}, "coupling": g}
   times      explicit list, or {"t_final": T, "n": count}
 
 Exit codes: 0 success, 2 configuration error (unknown command, bad or
 missing key, unresolvable name, non-hermitian channel), 3 numerical
-failure (empty shell, turning-point query, caustic amplitude, oracle
-divergence).
+failure (empty shell, folded shell, turning-point query, caustic
+amplitude, oracle divergence).
 
 Manifests embed the sha256 of the config body and state every physical
 convention in force, so a report can be read without the source.
 """
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -43,8 +45,8 @@ import numpy as np
 
 from .compare import ALL_CHECKS, run_checks
 from .diffusion import bracket_rate, window_width, write_diffusion_report
-from .flow import (HamiltonianSystem, NumericalError, make_system,
-                   polynomial_system)
+from .flow import (HamiltonianSystem, NumericalError, _poly_deriv,
+                   _poly_mul, make_system, polynomial_system)
 from .lindblad import (
     LindbladChannel,
     NonHermitianError,
@@ -53,10 +55,10 @@ from .lindblad import (
     write_trace,
 )
 from .normalization import run_suite
-from .oracle import OracleError, _poly_diff, _poly_mul, moyal_star
+from .oracle import OracleError, moyal_star
 from .projection import density_matrix_sc, swapped_shell, write_element_grid
 from .shells import Chord, build_shell, quantize_energy
-from .wigner import eval_grid, pure_state, spectral_state
+from .wigner import SemiclassicalState, eval_grid
 
 MASLOV_DEFAULT = float(np.pi / 4)
 
@@ -145,11 +147,8 @@ def _shell_from(cfg: Dict, system: HamiltonianSystem, hbar: float):
     if not isinstance(spec, dict) or ("n" in spec) == ("energy" in spec):
         raise ConfigError(
             'config key "shell" needs exactly one of "n" or "energy"')
-    if "n" in spec:
-        energy = quantize_energy(system, int(spec["n"]), hbar)
-    else:
-        energy = float(spec["energy"])
-    return build_shell(system, energy), energy
+    return build_shell(system, quantize_energy(system, int(spec["n"]), hbar)
+                       if "n" in spec else float(spec["energy"]))
 
 
 def _times_from(cfg: Dict, key: str = "times") -> np.ndarray:
@@ -213,31 +212,19 @@ def _write_manifest(out: Path, command: str, cfg: Dict,
 
 
 def run_build_wigner(cfg: Dict, out: Path) -> List[str]:
-    """Keys: system, hbar, shell (+ optional epsilon/window_shape for a
-    spectral window), grid {"p": [lo, hi, n], "q": [lo, hi, n]},
+    """Keys: system, hbar, shell (+ optional epsilon > 0 and window_shape
+    for a spectral window), grid {"p": [lo, hi, n], "q": [lo, hi, n]},
     optional maslov / amplitude_scale / caustic_tol."""
     system = _system_from(cfg)
     hbar = _hbar_from(cfg)
-    spec = cfg.get("shell")
-    if not isinstance(spec, dict):
-        raise ConfigError('config key "shell" must be an object')
+    shell = _shell_from(cfg, system, hbar)
     state_kwargs = {k: float(cfg[k]) for k in
                     ("maslov", "amplitude_scale", "caustic_tol") if k in cfg}
-    epsilon = float(spec.get("epsilon", 0.0))
+    epsilon = float(cfg["shell"].get("epsilon", 0.0))
     if epsilon > 0.0:
-        if "energy" not in spec:
-            raise ConfigError('spectral window needs shell "energy"')
-        state = spectral_state(system, float(spec["energy"]), epsilon, hbar,
-                               window_shape=spec.get("window_shape",
-                                                     "gaussian"),
-                               **state_kwargs)
-    elif "n" in spec:
-        state = pure_state(system, hbar, n=int(spec["n"]), **state_kwargs)
-    elif "energy" in spec:
-        state = pure_state(system, hbar, energy=float(spec["energy"]),
-                           **state_kwargs)
-    else:
-        raise ConfigError('config key "shell" needs "n" or "energy"')
+        state_kwargs.update(epsilon=epsilon, window_shape=cfg["shell"].get(
+            "window_shape", "gaussian"))
+    state = SemiclassicalState(shell=shell, hbar=hbar, **state_kwargs)
 
     grid = cfg.get("grid")
     if not (isinstance(grid, dict) and "p" in grid and "q" in grid):
@@ -288,7 +275,7 @@ def run_project(cfg: Dict, out: Path) -> List[str]:
     system = _system_from(cfg)
     hbar = _hbar_from(cfg)
     channels = _channels_from(cfg)
-    shell, energy = _shell_from(cfg, system, hbar)
+    shell = _shell_from(cfg, system, hbar)
     t = float(cfg.get("t", 0.0))
     rep = cfg.get("representation", "position")
     if rep not in ("position", "momentum"):
@@ -303,7 +290,7 @@ def run_project(cfg: Dict, out: Path) -> List[str]:
     write_element_grid(out / "elements.csv", elements)
     manifest = _write_manifest(
         out, "project", cfg, ["elements.csv"],
-        settings={"hbar": hbar, "energy": energy, "t": t,
+        settings={"hbar": hbar, "energy": shell.energy, "t": t,
                   "representation": rep, "n_pairs": len(pairs)})
     return ["elements.csv", manifest]
 
@@ -320,11 +307,9 @@ def run_diffusion(cfg: Dict, out: Path) -> List[str]:
         raise ConfigError(f"diffusion needs config key {err}") from err
     times = _times_from(cfg)
     rate = bracket_rate(energy, channels, system)
-    rows = []
-    for t in times:
-        eps = window_width(epsilon0, float(t), energy, channels, system,
-                           hbar, rate=rate)
-        rows.append({"t": float(t), "epsilon_predicted": eps})
+    rows = [{"t": float(t),
+             "epsilon_predicted": window_width(epsilon0, float(t), hbar, rate)}
+            for t in times]
     write_diffusion_report(out / "diffusion.csv", rows)
     manifest = _write_manifest(
         out, "diffusion", cfg, ["diffusion.csv"],
@@ -343,7 +328,7 @@ def run_normalize(cfg: Dict, out: Path) -> List[str]:
     if cfg.get("exponent", "hbar") != "hbar":
         raise ConfigError('the purity exponent is D^2/hbar; "exponent" '
                           'must be "hbar" or absent')
-    shell, energy = _shell_from(cfg, system, hbar)
+    shell = _shell_from(cfg, system, hbar)
     report = run_suite(
         shell, hbar, channels=channels,
         trace_hbars=[float(h) for h in cfg.get("trace_hbars", [])],
@@ -352,7 +337,7 @@ def run_normalize(cfg: Dict, out: Path) -> List[str]:
     _write_json(out / "normalize.json", report)
     manifest = _write_manifest(
         out, "normalize", cfg, ["normalize.json"],
-        settings={"hbar": hbar, "energy": energy})
+        settings={"hbar": hbar, "energy": shell.energy})
     return ["normalize.json", manifest]
 
 
@@ -379,8 +364,9 @@ def run_oracle_compare(cfg: Dict, out: Path) -> List[str]:
 
 def _poly_poisson(a: Dict, b: Dict) -> Dict:
     """{A, B} for p^i q^j coefficient tables, dq A dp B - dp A dq B."""
-    out = _poly_mul(_poly_diff(a, 1), _poly_diff(b, 0))
-    for key, val in _poly_mul(_poly_diff(a, 0), _poly_diff(b, 1)).items():
+    out = _poly_mul(_poly_deriv(a, 0, 1), _poly_deriv(b, 1, 0))
+    for key, val in _poly_mul(_poly_deriv(a, 1, 0),
+                              _poly_deriv(b, 0, 1)).items():
         out[key] = out.get(key, 0.0) - val
     return {k: v for k, v in out.items() if v != 0}
 
@@ -463,6 +449,7 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chordwigner",

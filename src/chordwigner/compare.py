@@ -198,8 +198,7 @@ def check_diffusion_slope(hbar: float = 0.05, energy: float = 0.5,
     system = make_system("harmonic")
     chan = [position_channel()]
     rate = bracket_rate(energy, chan, system)
-    eps_final = window_width(epsilon0, t_final, energy, chan, system, hbar,
-                             rate=rate)
+    eps_final = window_width(epsilon0, t_final, hbar, rate)
     predicted = (eps_final**2 - epsilon0**2) / t_final
 
     # headroom above the window: the coupling both heats the mean and grows

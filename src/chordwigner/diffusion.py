@@ -9,7 +9,7 @@ eps(t)^2 = eps0^2 + hbar t rate, the classical limit of the exact
 d Var(E)/dt = hbar <{H, L}^2> under the (1/hbar) D[L] dissipator.
 """
 import csv
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,23 +36,17 @@ def bracket_rate(energy: float, channels: Sequence[LindbladChannel],
                      for ch in channels))
 
 
-def window_width(epsilon0: float, t: float, energy: float,
-                 channels: Sequence[LindbladChannel],
-                 system: HamiltonianSystem, hbar: float,
-                 rate: Optional[float] = None) -> float:
-    """Window width eps(t) from eps(t)^2 = eps0^2 + hbar t * rate.
+def window_width(epsilon0: float, t: float, hbar: float,
+                 rate: float) -> float:
+    """Window width eps(t) from eps(t)^2 = eps0^2 + hbar t * rate, with
+    rate from bracket_rate.
 
     Matching the short-chord damping exp(-t rate tau^2 / 2 hbar) to the
     window factor exp(-(eps tau / hbar)^2 / 2) gives the slope
     hbar * rate for the energy variance eps^2.
-
-    Pass a precomputed rate when sweeping t; the orbit integration
-    behind bracket_rate is the expensive part.
     """
     if epsilon0 < 0 or t < 0:
         raise ValueError("epsilon0 and t must be nonnegative")
-    if rate is None:
-        rate = bracket_rate(energy, channels, system)
     return float(np.sqrt(epsilon0**2 + hbar * t * rate))
 
 

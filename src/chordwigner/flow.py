@@ -8,6 +8,7 @@ quantization, chord geometry, decoherence integrals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,21 +101,43 @@ def make_system(name: str) -> HamiltonianSystem:
     raise ValueError(f"unknown system {name!r}")
 
 
+def _poly_eval(poly: dict, x):
+    """sum c p^a q^b of a {(a, b): c} table at points x (..., 2), summed
+    in table order; zeros of their shape for an empty table."""
+    p, q = x[..., 0], x[..., 1]
+    if not poly:
+        return np.zeros(np.shape(p))
+    return sum(c * p**a * q**b for (a, b), c in poly.items())
+
+
+def _poly_deriv(poly: dict, i: int, j: int) -> dict:
+    """d^i/dp^i d^j/dq^j of a {(a, b): c} table, in closed form."""
+    return {(a - i, b - j): c * (math.perm(a, i) * math.perm(b, j))
+            for (a, b), c in poly.items() if a >= i and b >= j}
+
+
+def _poly_mul(pa: dict, pb: dict) -> dict:
+    """Product of two {(a, b): c} tables."""
+    out: dict = {}
+    for (a1, b1), c1 in pa.items():
+        for (a2, b2), c2 in pb.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0.0) + c1 * c2
+    return out
+
+
 def polynomial_system(coeffs: dict, name: str = "poly") -> HamiltonianSystem:
     """H = sum c[(a, b)] p^a q^b from a coefficient table."""
-    terms = [(int(a), int(b), float(c)) for (a, b), c in coeffs.items()]
+    table = {(int(a), int(b)): float(c) for (a, b), c in coeffs.items()}
+    dp, dq = _poly_deriv(table, 1, 0), _poly_deriv(table, 0, 1)
 
-    def value(x):
-        p, q = x[..., 0], x[..., 1]
-        return sum(c * p**a * q**b for a, b, c in terms)
+    def grad(x):  # filled in place: np.stack costs as much as both sums
+        g = np.empty(np.shape(x))
+        g[..., 0], g[..., 1] = _poly_eval(dp, x), _poly_eval(dq, x)
+        return g
 
-    def grad(x):
-        p, q = x[..., 0], x[..., 1]
-        gp = sum(c * a * p ** (a - 1) * q**b for a, b, c in terms if a > 0)
-        gq = sum(c * b * p**a * q ** (b - 1) for a, b, c in terms if b > 0)
-        return np.stack([gp + 0.0 * p, gq + 0.0 * p], axis=-1)
-
-    return HamiltonianSystem(name, value=value, grad=grad)
+    return HamiltonianSystem(name, value=lambda x: _poly_eval(table, x),
+                             grad=grad)
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .flow import HamiltonianSystem, _tip_flow
+from .flow import HamiltonianSystem, _poly_eval, _tip_flow
 from .shells import TWO_PI, Chord, ShellSpec, chord_amplitude
 
 
@@ -47,16 +47,11 @@ def polynomial_channel(coeffs: dict, coupling: float = 1.0,
                        name: Optional[str] = None) -> LindbladChannel:
     """L = coupling * sum c_ab p^a q^b; complex coefficients allowed
     (the channel is then marked non-hermitian)."""
-    herm = all(abs(complex(c).imag) == 0 for c in coeffs.values())
-
-    def f(x):
-        out = np.zeros(x.shape[:-1], dtype=float if herm else complex)
-        for (a, b), c in coeffs.items():
-            out = out + (coupling * c) * x[..., 0] ** a * x[..., 1] ** b
-        return out
-
-    return LindbladChannel(name=name or f"poly{sorted(coeffs)}", func=f,
-                           hermitian=herm)
+    table = {k: coupling * c for k, c in coeffs.items()}
+    return LindbladChannel(
+        name=name or f"poly{sorted(coeffs)}",
+        func=lambda x: _poly_eval(table, x),
+        hermitian=all(complex(c).imag == 0 for c in coeffs.values()))
 
 
 def energy_channel(func: Callable, system: HamiltonianSystem,
@@ -133,10 +128,14 @@ def hermitian_decay_rate(chord: Chord, channels: Sequence[LindbladChannel],
                          hbar: float) -> float:
     """Frozen-chord amplitude decay rate (1/2 hbar) sum |L(x+) - L(x-)|^2."""
     _require_hermitian(channels)
-    total = 0.0
-    for ch in channels:
-        total += abs(ch(chord.x_plus) - ch(chord.x_minus)) ** 2
-    return float(total / (2.0 * hbar))
+    return float(_d2_integrand(channels, chord.x_plus, chord.x_minus)
+                 / (2.0 * hbar))
+
+
+def _d2_integrand(channels: Sequence[LindbladChannel], xp, xm):
+    """sum_j |L_j(x+) - L_j(x-)|^2, the D_t^2 integrand, at tips (..., 2)."""
+    return sum((np.abs(ch(xp) - ch(xm)) ** 2 for ch in channels),
+               np.zeros(np.shape(xp)[:-1]))
 
 
 def _require_shell_dynamics(shell: ShellSpec, system) -> None:
@@ -189,8 +188,7 @@ def _record(flow: Callable, channels: Sequence[LindbladChannel],
     times = np.linspace(0.0, t, n_steps + 1) if t > 0 else np.zeros(1)
     tips = flow(times)
     tp, tm = tips[:, 0], tips[:, 1]
-    g = sum((np.abs(ch(tp) - ch(tm)) ** 2 for ch in channels),
-            np.zeros(len(times)))
+    g = _d2_integrand(channels, tp, tm)
     d2 = float(simpson(g, x=times)) if t > 0 else 0.0
     return DecoherenceRecord(t=t, d2=d2, times=times, integrand=g,
                              traj_plus=tp, traj_minus=tm)
@@ -254,8 +252,7 @@ def trotter_evolve(chord0: Chord, system: HamiltonianSystem,
     tips = _tip_flow(system, np.stack([chord0.x_plus, chord0.x_minus]),
                      t)(times)
     tp, tm = tips[:, 0], tips[:, 1]
-    g = sum((np.abs(ch(tp) - ch(tm)) ** 2 for ch in channels),
-            np.zeros(n_steps + 1))
+    g = _d2_integrand(channels, tp, tm)
     rec = DecoherenceRecord(t=t, d2=float(t / n_steps * np.sum(g[1:])),
                             times=times, integrand=g, traj_plus=tp,
                             traj_minus=tm)

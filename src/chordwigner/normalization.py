@@ -17,9 +17,8 @@ from scipy.integrate import IntegrationWarning, quad
 from .flow import HamiltonianSystem
 from .lindblad import (LindbladChannel, _require_hermitian,
                        _require_shell_dynamics, shell_d2)
-from .shells import ShellSpec
+from .shells import TWO_PI, ShellSpec
 
-TWO_PI = 2.0 * np.pi
 # subinterval cap of each adaptive half of the direct-trace integral
 _QUAD_LIMIT = 400
 # trapezoid nodes of the direct trace's inner angle average

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
-from .flow import HamiltonianSystem
+from .flow import HamiltonianSystem, _poly_deriv, _poly_mul
 from .shells import quantize_energy
 
 __all__ = [
@@ -330,26 +330,6 @@ def wigner_of_state(psi: np.ndarray, qs: np.ndarray, hbar: float) -> WignerGrid:
 # Moyal star product
 # ---------------------------------------------------------------------------
 
-def _poly_diff(poly: dict, var: int) -> dict:
-    """d/dp (var=0) or d/dq (var=1) of a {(a, b): c} polynomial."""
-    out: dict = {}
-    for (a, b), c in poly.items():
-        if var == 0 and a > 0:
-            out[(a - 1, b)] = out.get((a - 1, b), 0.0) + a * c
-        if var == 1 and b > 0:
-            out[(a, b - 1)] = out.get((a, b - 1), 0.0) + b * c
-    return out
-
-
-def _poly_mul(pa: dict, pb: dict) -> dict:
-    out: dict = {}
-    for (a1, b1), c1 in pa.items():
-        for (a2, b2), c2 in pb.items():
-            k = (a1 + a2, b1 + b2)
-            out[k] = out.get(k, 0.0) + c1 * c2
-    return out
-
-
 def _star_poly(pa: dict, pb: dict, hbar: float) -> dict:
     """Finite Moyal series for polynomial symbols (exact)."""
     out: dict = {}
@@ -358,16 +338,8 @@ def _star_poly(pa: dict, pb: dict, hbar: float) -> dict:
         coeff = (1j * hbar / 2) ** m / math.factorial(m)
         any_term = False
         for r in range(m + 1):
-            da = pa
-            for _ in range(m - r):
-                da = _poly_diff(da, 1)   # d/dq on A
-            for _ in range(r):
-                da = _poly_diff(da, 0)   # d/dp on A
-            db = pb
-            for _ in range(m - r):
-                db = _poly_diff(db, 0)   # d/dp on B
-            for _ in range(r):
-                db = _poly_diff(db, 1)   # d/dq on B
+            da = _poly_deriv(pa, r, m - r)
+            db = _poly_deriv(pb, m - r, r)
             if not da or not db:
                 continue
             any_term = True

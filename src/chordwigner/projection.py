@@ -6,13 +6,13 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .flow import HamiltonianSystem, NumericalError
 from .lindblad import LindbladChannel, _require_shell_dynamics, shell_d2
-from .shells import ShellSpec, build_shell
+from .shells import TWO_PI, ShellSpec, build_shell
 
-TWO_PI = 2.0 * np.pi
 # a query within this fraction of the allowed q span of a turning point
 # gets the single flagged turning branch
 _TURNING_TOL = 1e-6
@@ -44,30 +44,29 @@ class WKBBranch:
 
 
 def _turning_angles(shell: ShellSpec) -> Tuple[float, float]:
-    """Angles of the min-q (left) and max-q (right) turning points."""
-    th = shell.theta
-    qs = shell.points[:, 1]
-    out = []
-    for pick in (np.argmin(qs), np.argmax(qs)):
-        t0 = th[pick]
-        # refine: dq/dtheta = 0 via central difference on the spline
-        h = th[1] - th[0]
-
-        def dq(t):
-            return float(shell.point(t + 1e-6)[1] - shell.point(t - 1e-6)[1])
-
-        lo, hi = t0 - h, t0 + h
-        if dq(lo) * dq(hi) < 0:
-            t0 = brentq(dq, lo, hi, xtol=1e-12)
-        out.append(t0 % TWO_PI)
-    return out[0], out[1]
+    """Angles of the min-q (left) and max-q (right) turning points: the
+    sign changes of dq/dtheta on the shell spline's own pieces, read
+    between consecutive roots, so a root listed twice (at a knot or at
+    the seam) counts once.  A folded shell, with more, raises."""
+    dq = PPoly(shell._xsp.c[..., 1], shell._xsp.x).derivative()
+    roots = np.unique(dq.roots(extrapolate=False) % TWO_PI)
+    mids = 0.5 * (roots + np.append(roots[1:], roots[:1] + TWO_PI))
+    rising = dq(mids % TWO_PI) > 0
+    turns = roots[rising != np.roll(rising, 1)]
+    if len(turns) != 2:
+        raise NumericalError(
+            f"the shell has {len(turns)} q-turning points, not 2: a folded "
+            "shell's WKB branches are not resolved")
+    left, right = turns[np.argsort(shell.point(turns)[:, 1])]
+    return float(left), float(right)
 
 
 def wkb_branches(q: float, shell: ShellSpec) -> List[WKBBranch]:
     """All shell momenta over the position q with amplitudes and actions.
 
     Empty outside the classically allowed region; a single flagged
-    branch within _TURNING_TOL of the span from a turning point.
+    branch within _TURNING_TOL of the span from a turning point.  A
+    folded shell, with more than two q-turning points, raises.
     """
     th_left, th_right = _turning_angles(shell)
     if th_right < th_left:        # unwrap so the two arcs are ordered

@@ -10,8 +10,8 @@ import pytest
 import chordwigner
 from chordwigner import (build_shell, chord_amplitude, find_chords,
                          make_system, momentum_rep_element, position_channel)
-from chordwigner.cli import (COMMANDS, ConfigError, load_config, main,
-                             physical_conventions)
+from chordwigner.cli import (COMMANDS, ConfigError, _build_parser,
+                             load_config, main, physical_conventions)
 
 
 def write_cfg(path, cfg) -> str:
@@ -190,6 +190,30 @@ def test_config_errors_exit_2(tmp_path):
          "shell": {"n": 3, "energy": 0.5}, "channels": [], "pairs": [[0, 0]]})
     assert main(["project", "--config", both_shell_keys,
                  "--out", str(tmp_path)]) == 2
+
+
+def test_build_wigner_needs_exactly_one_shell_key(tmp_path):
+    for shell in ({"n": 3, "energy": 0.9}, {"epsilon": 0.1}):
+        cfg = write_cfg(tmp_path / "b.json", dict(WIG_CFG, shell=shell))
+        out = tmp_path / "out"
+        assert main(["build-wigner", "--config", cfg,
+                     "--out", str(out)]) == 2
+        assert not (out / "wigner.csv").exists()
+
+
+def test_project_on_folded_shell_exits_3(tmp_path):
+    folded = write_cfg(tmp_path / "f.json", {
+        "system": {"coeffs": {"4,0": 0.25, "2,0": -0.5, "0,2": 0.5}},
+        "hbar": 0.05, "shell": {"energy": 0.5}, "channels": [], "t": 0.0,
+        "pairs": [[1.1, 1.05]],
+    })
+    assert main(["project", "--config", folded, "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "elements.csv").exists()
+
+
+def test_parser_is_built_once():
+    # test_build_wigner_artifacts_and_determinism runs main twice on it
+    assert _build_parser() is _build_parser()
 
 
 def test_numerical_failures_exit_3(tmp_path, monkeypatch):

@@ -52,23 +52,22 @@ def test_bracket_rate_meets_virial_theorem(name, k):
 
 
 def test_window_width_example_and_linearity():
-    eps = window_width(0.1, 0.0, 0.5, [position_channel()], harmonic, 0.05)
+    rate = bracket_rate(0.5, [position_channel()], harmonic)
+    eps = window_width(0.1, 0.0, 0.05, rate)
     assert eps == 0.1
-    eps = window_width(0.1, 2.0, 0.5, [position_channel()], harmonic, 0.05)
+    eps = window_width(0.1, 2.0, 0.05, rate)
     assert_allclose(eps**2, 0.06, atol=1e-7)
     assert_allclose(eps, 0.244949, atol=1e-4)
     # growth is exactly linear in t with slope hbar * rate
-    rate = bracket_rate(0.5, [position_channel()], harmonic)
     for t in (0.3, 1.1, 1.9):
-        eps_t = window_width(0.1, t, 0.5, [position_channel()], harmonic,
-                             0.05)
+        eps_t = window_width(0.1, t, 0.05, rate)
         assert_allclose(eps_t**2 - 0.01, 0.05 * t * rate,
                         atol=1e-12)
 
 
 def test_window_width_coupling_scaling():
     grow = lambda c: window_width(
-        0.0, 1.0, 0.5, [position_channel(c)], harmonic, 0.05)**2
+        0.0, 1.0, 0.05, bracket_rate(0.5, [position_channel(c)], harmonic))**2
     assert_allclose(grow(2.0), 4.0 * grow(1.0), rtol=1e-9)
 
 
@@ -93,9 +92,9 @@ def test_short_chord_bridges_decay_rate():
 
 def test_energy_window_validation():
     with pytest.raises(ValueError):
-        window_width(-0.1, 1.0, 0.5, [], harmonic, 0.05)
+        window_width(-0.1, 1.0, 0.05, 0.0)
     with pytest.raises(ValueError):
-        window_width(0.1, -1.0, 0.5, [], harmonic, 0.05)
+        window_width(0.1, -1.0, 0.05, 0.0)
 
 
 def test_diffusion_report_csv(tmp_path):

@@ -225,3 +225,109 @@ def test_polynomial_system_matches_builtin():
     x = rng.normal(size=(20, 2))
     assert_allclose(poly.energy(x), harmonic.energy(x), atol=1e-14)
     assert_allclose(poly.gradient(x), harmonic.gradient(x), atol=1e-14)
+
+
+# -- coefficient tables -----------------------------------------------------
+
+_coefficient = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+_table = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                         _coefficient, min_size=1, max_size=8)
+
+
+def _written_out_system(coeffs):
+    """value and grad of a table, one term at a time, each gradient term
+    differentiated where it is summed."""
+    terms = [(int(a), int(b), float(c)) for (a, b), c in coeffs.items()]
+
+    def value(x):
+        p, q = x[..., 0], x[..., 1]
+        return sum(c * p**a * q**b for a, b, c in terms)
+
+    def grad(x):
+        p, q = x[..., 0], x[..., 1]
+        gp = sum(c * a * p ** (a - 1) * q**b for a, b, c in terms if a > 0)
+        gq = sum(c * b * p**a * q ** (b - 1) for a, b, c in terms if b > 0)
+        return np.stack([gp + 0.0 * p, gq + 0.0 * p], axis=-1)
+
+    return value, grad
+
+
+def _written_out_channel(coeffs, coupling, dtype):
+    def f(x):
+        out = np.zeros(x.shape[:-1], dtype=dtype)
+        for (a, b), c in coeffs.items():
+            out = out + (coupling * c) * x[..., 0] ** a * x[..., 1] ** b
+        return out
+
+    return f
+
+
+def _single_derivative(poly, var):
+    """d/dp (var=0) or d/dq (var=1) of a table, accumulated term by term."""
+    out = {}
+    for (a, b), c in poly.items():
+        if var == 0 and a > 0:
+            out[(a - 1, b)] = out.get((a - 1, b), 0.0) + a * c
+        if var == 1 and b > 0:
+            out[(a, b - 1)] = out.get((a, b - 1), 0.0) + b * c
+    return out
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and got.tobytes() == want.tobytes())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(table=_table, imag=_table, coupling=_coefficient,
+       seed=st.integers(0, 2**32 - 1))
+def test_polynomial_tables_match_written_out_sums(table, imag, coupling,
+                                                  seed):
+    from chordwigner.lindblad import polynomial_channel
+
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(7, 2))
+    system = polynomial_system(table)
+    value, grad = _written_out_system(table)
+    complex_table = {k: complex(c, imag.get(k, 0.0)) for k, c in table.items()}
+    for pts in (x, x[0]):
+        assert _same_bits(system.value(pts), value(pts))
+        assert _same_bits(system.grad(pts), grad(pts))
+        assert _same_bits(polynomial_channel(table, coupling)(pts),
+                          _written_out_channel(table, coupling, float)(pts))
+        assert _same_bits(
+            polynomial_channel(complex_table, coupling)(pts),
+            _written_out_channel(complex_table, coupling, complex)(pts))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(table=_table, i=st.integers(0, 6), j=st.integers(0, 6))
+def test_poly_deriv_is_repeated_single_derivatives(table, i, j):
+    from chordwigner.flow import _poly_deriv
+
+    want = table
+    for var, count in ((0, i), (1, j)):
+        for _ in range(count):
+            want = _single_derivative(want, var)
+    got = _poly_deriv(table, i, j)
+    assert got.keys() == want.keys()
+    if i + j <= 1:
+        # == on floats is bit equality up to the sign of a zero coefficient
+        assert got == want
+    for key, c in want.items():
+        assert abs(got[key] - c) <= 1e-15 * abs(c)
+
+
+def test_empty_tables_give_zeros_of_the_points_shape():
+    from chordwigner.lindblad import polynomial_channel
+
+    x = np.ones((5, 2))
+    zero = polynomial_system({})
+    assert _same_bits(zero.value(x), np.zeros(5))
+    assert _same_bits(zero.grad(x), np.zeros((5, 2)))
+    assert _same_bits(polynomial_channel({})(x), np.zeros(5))
+    # H = q^2/2 has an empty d/dp table
+    assert _same_bits(polynomial_system({(0, 2): 0.5}).grad(x),
+                      np.stack([np.zeros(5), np.ones(5)], axis=-1))

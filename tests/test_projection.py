@@ -4,10 +4,11 @@ import pytest
 from scipy.integrate import quad
 
 from chordwigner import build_shell, make_system
-from chordwigner.flow import polynomial_system
+from chordwigner.flow import NumericalError, polynomial_system
 from chordwigner.lindblad import momentum_channel, position_channel
 from chordwigner.projection import (
     TurningPointError,
+    _turning_angles,
     density_matrix_sc,
     momentum_rep_element,
     swapped_system,
@@ -123,6 +124,56 @@ def test_foreign_dynamics_rejected():
         density_matrix_sc(0.3, 0.1, SHELL, FROZEN, chan, 0.7, HBAR)
     with pytest.raises(ValueError, match="shell.system"):
         momentum_rep_element(0.4, 0.15, SHELL, FROZEN, chan, 0.6, HBAR)
+
+
+def test_turning_angles_are_roots_of_dq_dtheta():
+    # the harmonic shell starts at (p, q) = (1, 0), so q turns at 3 pi/2
+    # (left) and pi/2 (right), where p = dq/dt vanishes
+    left, right = _turning_angles(SHELL)
+    np.testing.assert_allclose([left, right], [1.5 * np.pi, 0.5 * np.pi],
+                               rtol=0, atol=1e-12)
+    assert np.all(np.abs(SHELL.point([left, right])[:, 0]) < 1e-12)
+    # a well that H(p, 0) never reaches starts on p = 0: its left turning
+    # point sits on the seam theta = 0 = 2 pi and counts once
+    well = polynomial_system({(2, 0): 0.5, (0, 4): 0.5, (0, 2): -1.0,
+                              (0, 0): 0.5})
+    shell = build_shell(well, 0.3)
+    left, right = _turning_angles(shell)
+    assert min(left, 2 * np.pi - left) < 1e-9
+    assert right == pytest.approx(np.pi, abs=1e-9)
+    branches = wkb_branches(1.0, shell)
+    assert [b.p for b in branches] == pytest.approx([0.6 ** 0.5,
+                                                     -0.6 ** 0.5])
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_turning_root_listed_twice_counts_once(n):
+    # q = cos(theta) sampled on knots that hold both turning angles: the
+    # spline's dq/dtheta root at the seam comes back at both ends
+    from types import SimpleNamespace
+
+    from scipy.interpolate import CubicSpline
+
+    th = 2 * np.pi * np.arange(n + 1) / n
+    pts = np.stack([-np.sin(th), np.cos(th)], axis=-1)
+    pts[-1] = pts[0]
+    xsp = CubicSpline(th, pts, bc_type="periodic")
+    shell = SimpleNamespace(_xsp=xsp,
+                            point=lambda t: xsp(np.asarray(t) % (2 * np.pi)))
+    left, right = _turning_angles(shell)
+    assert left == pytest.approx(np.pi, abs=1e-12)
+    assert min(right, 2 * np.pi - right) < 1e-12
+
+
+def test_folded_shell_raises():
+    # dq/dt = p^3 - p changes sign at p = 0 and p = +-1, so q turns six
+    # times on the E = 0.5 shell, and q = 1.1 has four momentum branches
+    folded = polynomial_system({(4, 0): 0.25, (2, 0): -0.5, (0, 2): 0.5})
+    shell = build_shell(folded, 0.5)
+    with pytest.raises(NumericalError, match="6 q-turning points"):
+        wkb_branches(1.1, shell)
+    with pytest.raises(NumericalError):
+        density_matrix_sc(1.1, 1.05, shell, folded, [], 0.0, HBAR)
 
 
 def test_turning_query_raises():
