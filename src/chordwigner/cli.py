@@ -57,7 +57,7 @@ from .lindblad import (
 from .normalization import run_suite
 from .oracle import OracleError, moyal_star
 from .projection import density_matrix_sc, swapped_shell, write_element_grid
-from .shells import Chord, build_shell, quantize_energy
+from .shells import Chord, named_shell
 from .wigner import SemiclassicalState, eval_grid
 
 MASLOV_DEFAULT = float(np.pi / 4)
@@ -144,11 +144,11 @@ def _hbar_from(cfg: Dict) -> float:
 
 def _shell_from(cfg: Dict, system: HamiltonianSystem, hbar: float):
     spec = cfg.get("shell")
-    if not isinstance(spec, dict) or ("n" in spec) == ("energy" in spec):
-        raise ConfigError(
-            'config key "shell" needs exactly one of "n" or "energy"')
-    return build_shell(system, quantize_energy(system, int(spec["n"]), hbar)
-                       if "n" in spec else float(spec["energy"]))
+    if not isinstance(spec, dict):
+        raise ConfigError('config key "shell" must be an object')
+    return named_shell(system, hbar,
+                       int(spec["n"]) if "n" in spec else None,
+                       float(spec["energy"]) if "energy" in spec else None)
 
 
 def _times_from(cfg: Dict, key: str = "times") -> np.ndarray:

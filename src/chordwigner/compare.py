@@ -29,7 +29,7 @@ from .oracle import (
     wigner_of_state,
 )
 from .projection import density_matrix_sc, wkb_branches
-from .shells import Chord, _search_chords, build_shell, quantize_energy
+from .shells import Chord, _search_chords, build_shell, named_shell
 from .wigner import SemiclassicalState, _terms
 
 
@@ -105,14 +105,13 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
     must land near pi/4.
     """
     system = make_system("harmonic")
-    energy = quantize_energy(system, n_level, hbar)
-    shell = build_shell(system, energy)
+    shell = named_shell(system, hbar, n_level)
     state = SemiclassicalState(shell=shell, hbar=hbar, maslov=0.0)
 
     basis = solve_eigenstates(system, hbar, count=n_level + 6)
     wg = wigner_of_state(basis.psis[n_level], basis.qs, hbar)
 
-    r = np.sqrt(2.0 * energy)
+    r = np.sqrt(2.0 * shell.energy)
     wedge_floor = caustic_fraction * shell.speed_scale
     cells = [(s, k) for s in range(0, len(wg.q_centres), 24)
              for k in range(0, len(wg.ps), 16)
@@ -229,10 +228,9 @@ def check_purity_decay(hbar: float = 0.05, tolerance: float = 0.10,
     """Angle-pair purity decay vs oracle tr rho^2 while purity > 0.5."""
     system = make_system("harmonic")
     n_level = int(round(0.5 / hbar))
-    energy = quantize_energy(system, n_level, hbar)
-    shell = build_shell(system, energy)
+    shell = named_shell(system, hbar, n_level)
     if times is None:
-        t_half = 0.7 * hbar / (2.0 * energy)   # crude 0.5-crossing scale
+        t_half = 0.7 * hbar / (2.0 * shell.energy)  # crude 0.5-crossing scale
         times = np.linspace(0.0, 3.0 * t_half, 7)[1:]
 
     count = n_level + 1 + max(12, n_level // 2)
@@ -273,8 +271,7 @@ def check_off_diagonal(hbar: float = 0.05, tolerance_floor: float = 0.10,
     """
     system = make_system("harmonic")
     n_level = int(round(0.5 / hbar)) - 1
-    energy = quantize_energy(system, n_level, hbar)
-    shell = build_shell(system, energy)
+    shell = named_shell(system, hbar, n_level)
     chan = [position_channel()]
     period = float(shell.period)
 
@@ -290,7 +287,7 @@ def check_off_diagonal(hbar: float = 0.05, tolerance_floor: float = 0.10,
                                    np.concatenate([[0.0], times]))
 
     # antinode probe pairs on a coarse grid inside the allowed region
-    r = np.sqrt(2.0 * energy)
+    r = np.sqrt(2.0 * shell.energy)
     grid = np.linspace(-0.85 * r, 0.85 * r, 15)
     psi = hermite_psi(count - 1, grid, hbar)
     rho0_q = psi.T @ np.real(states[0].rho) @ psi

@@ -280,10 +280,6 @@ def write_trace(path, rows: Sequence[Tuple[float, EvolvedChord]]) -> None:
         w.writerow(["t", "p_plus", "q_plus", "p_minus", "q_minus",
                     "S_t", "D_t", "damping"])
         for t, ev in rows:
-            w.writerow([f"{t:.12g}",
-                        f"{ev.base.x_plus[0]:.12g}",
-                        f"{ev.base.x_plus[1]:.12g}",
-                        f"{ev.base.x_minus[0]:.12g}",
-                        f"{ev.base.x_minus[1]:.12g}",
-                        f"{ev.s_t:.12g}", f"{ev.record.distance:.12g}",
-                        f"{ev.damping:.12g}"])
+            w.writerow([f"{v:.12g}" for v in (
+                t, *ev.base.x_plus, *ev.base.x_minus, ev.s_t,
+                ev.record.distance, ev.damping)])

@@ -8,7 +8,7 @@ multiplicities and caustics disappear.  Quadratures are vectorized over
 angle blocks and summed in a fixed order, so results are deterministic.
 """
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Sequence
 
 import numpy as np
@@ -100,7 +100,6 @@ def direct_trace(shell: ShellSpec, hbar: float,
         return float(np.mean(np.sqrt(np.abs(w))
                              * np.cos(s / hbar - offset)))
 
-    caught: list = []
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always", IntegrationWarning)
         i1, e1 = quad(lambda u: ring(u, _N_INNER), 0.0, np.pi,
@@ -139,16 +138,8 @@ def run_suite(shell: ShellSpec, hbar: float,
         },
     }
     for h in trace_hbars:
-        rep = direct_trace(shell, h)
-        out["direct_trace"][f"{h:g}"] = {
-            "value": rep.value, "grid": rep.grid,
-            "est_error": rep.est_error,
-        }
+        out["direct_trace"][f"{h:g}"] = asdict(direct_trace(shell, h))
     for tv in decay_times:
-        rep = purity_decay(shell, shell.system, channels, tv, hbar,
-                           n_angle=n_angle)
-        out["purity_decay"][f"{tv:g}"] = {
-            "value": rep.value, "grid": rep.grid,
-            "est_error": rep.est_error,
-        }
+        out["purity_decay"][f"{tv:g}"] = asdict(purity_decay(
+            shell, shell.system, channels, tv, hbar, n_angle=n_angle))
     return out

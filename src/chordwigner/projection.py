@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.optimize import brentq
 
 from .flow import HamiltonianSystem, NumericalError
@@ -43,24 +42,6 @@ class WKBBranch:
         return np.array([self.p, self.q])
 
 
-def _turning_angles(shell: ShellSpec) -> Tuple[float, float]:
-    """Angles of the min-q (left) and max-q (right) turning points: the
-    sign changes of dq/dtheta on the shell spline's own pieces, read
-    between consecutive roots, so a root listed twice (at a knot or at
-    the seam) counts once.  A folded shell, with more, raises."""
-    dq = PPoly(shell._xsp.c[..., 1], shell._xsp.x).derivative()
-    roots = np.unique(dq.roots(extrapolate=False) % TWO_PI)
-    mids = 0.5 * (roots + np.append(roots[1:], roots[:1] + TWO_PI))
-    rising = dq(mids % TWO_PI) > 0
-    turns = roots[rising != np.roll(rising, 1)]
-    if len(turns) != 2:
-        raise NumericalError(
-            f"the shell has {len(turns)} q-turning points, not 2: a folded "
-            "shell's WKB branches are not resolved")
-    left, right = turns[np.argsort(shell.point(turns)[:, 1])]
-    return float(left), float(right)
-
-
 def wkb_branches(q: float, shell: ShellSpec) -> List[WKBBranch]:
     """All shell momenta over the position q with amplitudes and actions.
 
@@ -68,7 +49,7 @@ def wkb_branches(q: float, shell: ShellSpec) -> List[WKBBranch]:
     branch within _TURNING_TOL of the span from a turning point.  A
     folded shell, with more than two q-turning points, raises.
     """
-    th_left, th_right = _turning_angles(shell)
+    th_left, th_right = shell.q_turning_angles()
     if th_right < th_left:        # unwrap so the two arcs are ordered
         th_right += TWO_PI
     q_left = float(shell.point(th_left)[1])

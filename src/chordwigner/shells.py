@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .flow import (
     HamiltonianSystem,
@@ -28,6 +28,7 @@ __all__ = [
     "ShellSpec",
     "Chord",
     "build_shell",
+    "named_shell",
     "find_chords",
     "chord_amplitude",
     "quantize_energy",
@@ -72,6 +73,30 @@ class ShellSpec:
     def velocity_theta(self, theta):
         """dx/dtheta, the angle-flow tip velocity (T/2pi times J grad H)."""
         return self._xsp(np.asarray(theta, dtype=float) % TWO_PI, 1)
+
+    def q_turning_angles(self):
+        """Angles of the min-q (left) and max-q (right) turning points.
+
+        The on-shell samples count them (a folded shell, where q turns
+        more than twice, raises); each is then the spline's dq/dtheta
+        root nearest its extreme sample, which passes over the spurious
+        roots a degenerate turning point (q - q_t ~ dtheta^4) leaves
+        within a sample step.
+        """
+        q = self.points[:, 1]
+        dq = np.diff(q, append=q[:1])
+        rising = dq[dq != 0] > 0
+        n_turns = np.count_nonzero(rising != np.roll(rising, 1))
+        if n_turns != 2:
+            raise NumericalError(
+                f"the shell has {n_turns} q-turning points, not 2: a folded "
+                "shell's WKB branches are not resolved")
+        roots = PPoly(self._xsp.c[..., 1], self._xsp.x).derivative().roots(
+            extrapolate=False)
+        off = (roots[:, None] - self.theta[[q.argmin(), q.argmax()]]
+               + np.pi) % TWO_PI - np.pi
+        left, right = roots[np.abs(off).argmin(axis=0)] % TWO_PI
+        return float(left), float(right)
 
     def action_integral(self, theta):
         """F(theta) = cumulative oint p dq from theta = 0 (not wrapped)."""
@@ -501,3 +526,15 @@ def quantize_energy(system: HamiltonianSystem, n_level: int,
         else:
             e += step
     raise ShellError(f"quantization of level {n_level} did not converge")
+
+
+def named_shell(system: HamiltonianSystem, hbar: float,
+                n_level: int | None = None, energy: float | None = None
+                ) -> ShellSpec:
+    """The shell of quantum level n_level (area rule) or of the given
+    energy; exactly one of the two names it."""
+    if (n_level is None) == (energy is None):
+        raise ValueError('a shell needs exactly one of "n" or "energy"')
+    if energy is None:
+        energy = quantize_energy(system, n_level, hbar)
+    return build_shell(system, energy)

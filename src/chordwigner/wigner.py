@@ -18,7 +18,7 @@ from .shells import (
     _ChordArrays,
     _search_chords,
     build_shell,
-    quantize_energy,
+    named_shell,
 )
 
 
@@ -81,12 +81,8 @@ def pure_state(system: HamiltonianSystem, hbar: float,
                n: Optional[int] = None, energy: Optional[float] = None,
                **kwargs) -> SemiclassicalState:
     """State on the shell quantized by the area rule (n) or at a given E."""
-    if (n is None) == (energy is None):
-        raise ValueError("give exactly one of n or energy")
-    if energy is None:
-        energy = quantize_energy(system, n, hbar)
-    return SemiclassicalState(shell=build_shell(system, energy), hbar=hbar,
-                              **kwargs)
+    return SemiclassicalState(shell=named_shell(system, hbar, n, energy),
+                              hbar=hbar, **kwargs)
 
 
 def spectral_state(system: HamiltonianSystem, energy: float, epsilon: float,

@@ -8,9 +8,9 @@ from chordwigner.flow import NumericalError, polynomial_system
 from chordwigner.lindblad import momentum_channel, position_channel
 from chordwigner.projection import (
     TurningPointError,
-    _turning_angles,
     density_matrix_sc,
     momentum_rep_element,
+    swapped_shell,
     swapped_system,
     wkb_branches,
     write_element_grid,
@@ -129,7 +129,7 @@ def test_foreign_dynamics_rejected():
 def test_turning_angles_are_roots_of_dq_dtheta():
     # the harmonic shell starts at (p, q) = (1, 0), so q turns at 3 pi/2
     # (left) and pi/2 (right), where p = dq/dt vanishes
-    left, right = _turning_angles(SHELL)
+    left, right = SHELL.q_turning_angles()
     np.testing.assert_allclose([left, right], [1.5 * np.pi, 0.5 * np.pi],
                                rtol=0, atol=1e-12)
     assert np.all(np.abs(SHELL.point([left, right])[:, 0]) < 1e-12)
@@ -138,7 +138,7 @@ def test_turning_angles_are_roots_of_dq_dtheta():
     well = polynomial_system({(2, 0): 0.5, (0, 4): 0.5, (0, 2): -1.0,
                               (0, 0): 0.5})
     shell = build_shell(well, 0.3)
-    left, right = _turning_angles(shell)
+    left, right = shell.q_turning_angles()
     assert min(left, 2 * np.pi - left) < 1e-9
     assert right == pytest.approx(np.pi, abs=1e-9)
     branches = wkb_branches(1.0, shell)
@@ -146,23 +146,17 @@ def test_turning_angles_are_roots_of_dq_dtheta():
                                                      -0.6 ** 0.5])
 
 
-@pytest.mark.parametrize("n", [8, 16, 64])
-def test_turning_root_listed_twice_counts_once(n):
-    # q = cos(theta) sampled on knots that hold both turning angles: the
-    # spline's dq/dtheta root at the seam comes back at both ends
-    from types import SimpleNamespace
-
-    from scipy.interpolate import CubicSpline
-
-    th = 2 * np.pi * np.arange(n + 1) / n
-    pts = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-    pts[-1] = pts[0]
-    xsp = CubicSpline(th, pts, bc_type="periodic")
-    shell = SimpleNamespace(_xsp=xsp,
-                            point=lambda t: xsp(np.asarray(t) % (2 * np.pi)))
-    left, right = _turning_angles(shell)
-    assert left == pytest.approx(np.pi, abs=1e-12)
-    assert min(right, 2 * np.pi - right) < 1e-12
+def test_degenerate_turning_point_keeps_branches():
+    # swapped, the quartic's q - q_t ~ dtheta^4 at the turning points, and
+    # the spline's dq/dtheta has two spurious roots a sample step apart
+    quartic = make_system("quartic")
+    shell = build_shell(quartic, 0.5)
+    sw_shell, _ = swapped_shell(shell, [])
+    q = sw_shell.points[:, 1]
+    qs = sw_shell.point(sw_shell.q_turning_angles())[:, 1]
+    np.testing.assert_allclose(qs, [q.min(), q.max()], rtol=0, atol=1e-12)
+    el = momentum_rep_element(0.3, 0.1, shell, quartic, [], 0.0, HBAR)
+    assert len(el.terms) == 4 and not el.flagged
 
 
 def test_folded_shell_raises():
