@@ -39,10 +39,7 @@ system = make_system("harmonic")
 
 
 def static_chord(dq):
-    return Chord(x_plus=np.array([0.0, dq / 2]),
-                 x_minus=np.array([0.0, -dq / 2]),
-                 theta_plus=0.0, theta_minus=0.0, action=0.0, wedge=1.0,
-                 tau=0.0, caustic=False)
+    return Chord.from_tips([0.0, dq / 2], [0.0, -dq / 2])
 
 
 # --- static rate: exponent is (dq)^2 / 2 hbar ------------------------------

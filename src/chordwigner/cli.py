@@ -26,9 +26,9 @@ Shared config keys (per-command keys are documented on each runner):
   times      explicit list, or {"t_final": T, "n": count}
 
 Exit codes: 0 success, 2 configuration error (unknown command, bad or
-missing key, unresolvable name, non-hermitian channel), 3 numerical
-failure (empty shell, folded shell, turning-point query, caustic
-amplitude, oracle divergence).
+missing key, a key that sets a fixed convention, unresolvable name,
+non-hermitian channel), 3 numerical failure (empty shell, folded shell,
+turning-point query, caustic amplitude, oracle divergence).
 
 Manifests embed the sha256 of the config body and state every physical
 convention in force, so a report can be read without the source.
@@ -57,10 +57,12 @@ from .lindblad import (
 from .normalization import run_suite
 from .oracle import OracleError, moyal_star
 from .projection import density_matrix_sc, swapped_shell, write_element_grid
-from .shells import Chord, named_shell
+from .shells import _MASLOV, Chord, named_shell
 from .wigner import SemiclassicalState, eval_grid
 
-MASLOV_DEFAULT = float(np.pi / 4)
+# build-wigner keys of fixed conventions (shell.window_shape is the fourth)
+_FIXED_KEYS = {"maslov": "pi/4", "amplitude_scale": "1",
+               "caustic_tol": "1e-3 speed_scale"}
 
 
 class ConfigError(ValueError):
@@ -167,14 +169,14 @@ def _times_from(cfg: Dict, key: str = "times") -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def physical_conventions(**overrides) -> Dict:
+def physical_conventions() -> Dict:
     """The sign/offset/exponent choices every report is read under."""
-    conv = {
+    return {
         "phase_space_order": "(p, q)",
         "symplectic_form": [[0, -1], [1, 0]],
         "wedge_product": "a ^ b = a_p b_q - a_q b_p",
         "poisson_bracket": "{f, g} = dq f dp g - dp f dq g  ({q, p} = 1)",
-        "maslov_offset": MASLOV_DEFAULT,
+        "maslov_offset": _MASLOV,
         "phase_convention": "W = sum_k A_k cos(S_k/hbar - maslov)",
         "window_shape": "gaussian",
         "element_damping": "exp(-D_t^2 / 2 hbar) per branch pair",
@@ -182,8 +184,6 @@ def physical_conventions(**overrides) -> Dict:
         "purity_damping": "exp(-D_t^2 / hbar) per chord pair",
         "dissipator_scale": "1/hbar",
     }
-    conv.update(overrides)
-    return conv
 
 
 def _write_json(path, payload: Dict) -> None:
@@ -193,14 +193,13 @@ def _write_json(path, payload: Dict) -> None:
 
 
 def _write_manifest(out: Path, command: str, cfg: Dict,
-                    artifacts: Sequence[str], settings: Dict,
-                    conventions: Optional[Dict] = None) -> str:
+                    artifacts: Sequence[str], settings: Dict) -> str:
     name = f"{command}_manifest.json"
     _write_json(out / name, {
         "command": command,
         "config_sha256": cfg.get("_sha256", ""),
         "artifacts": list(artifacts),
-        "conventions": conventions or physical_conventions(),
+        "conventions": physical_conventions(),
         "settings": settings,
     })
     return name
@@ -212,19 +211,24 @@ def _write_manifest(out: Path, command: str, cfg: Dict,
 
 
 def run_build_wigner(cfg: Dict, out: Path) -> List[str]:
-    """Keys: system, hbar, shell (+ optional epsilon > 0 and window_shape
-    for a spectral window), grid {"p": [lo, hi, n], "q": [lo, hi, n]},
-    optional maslov / amplitude_scale / caustic_tol."""
+    """Keys: system, hbar, shell (+ optional epsilon > 0 for a Gaussian
+    spectral window), grid {"p": [lo, hi, n], "q": [lo, hi, n]}.  The
+    keys maslov, amplitude_scale, caustic_tol and shell.window_shape
+    would set fixed conventions; any of them exits 2."""
+    spec = cfg.get("shell")
+    fixed = {k: v for k, v in _FIXED_KEYS.items() if k in cfg}
+    if isinstance(spec, dict) and "window_shape" in spec:
+        fixed["shell.window_shape"] = "gaussian"
+    if fixed:
+        raise ConfigError("; ".join(
+            f'config key "{k}" cannot be set: it is fixed at {v}'
+            for k, v in fixed.items()))
     system = _system_from(cfg)
     hbar = _hbar_from(cfg)
     shell = _shell_from(cfg, system, hbar)
-    state_kwargs = {k: float(cfg[k]) for k in
-                    ("maslov", "amplitude_scale", "caustic_tol") if k in cfg}
-    epsilon = float(cfg["shell"].get("epsilon", 0.0))
-    if epsilon > 0.0:
-        state_kwargs.update(epsilon=epsilon, window_shape=cfg["shell"].get(
-            "window_shape", "gaussian"))
-    state = SemiclassicalState(shell=shell, hbar=hbar, **state_kwargs)
+    epsilon = float(spec.get("epsilon", 0.0))
+    state = SemiclassicalState(shell=shell, hbar=hbar,
+                               epsilon=epsilon if epsilon > 0.0 else 0.0)
 
     grid = cfg.get("grid")
     if not (isinstance(grid, dict) and "p" in grid and "q" in grid):
@@ -236,11 +240,9 @@ def run_build_wigner(cfg: Dict, out: Path) -> List[str]:
 
     result = eval_grid(state, ps, qs)
     result.write_csv(out / "wigner.csv")
-    conv = physical_conventions(maslov_offset=state.maslov,
-                                window_shape=state.window_shape)
     manifest = _write_manifest(
         out, "build-wigner", cfg, ["wigner.csv"],
-        settings={"wigner": result.manifest()}, conventions=conv)
+        settings={"wigner": result.manifest()})
     return ["wigner.csv", manifest]
 
 
@@ -257,10 +259,8 @@ def run_evolve(cfg: Dict, out: Path) -> List[str]:
     if x_plus.shape != (2,) or x_minus.shape != (2,):
         raise ConfigError("chord tips must be [p, q] pairs")
     times = _times_from(cfg)
-    chord0 = Chord(x_plus=x_plus, x_minus=x_minus, theta_plus=0.0,
-                   theta_minus=0.0, action=0.0, wedge=1.0, tau=0.0,
-                   caustic=False)
-    rows = evolution_trace(chord0, system, channels, times, hbar)
+    rows = evolution_trace(Chord.from_tips(x_plus, x_minus), system,
+                           channels, times, hbar)
     write_trace(out / "trace.csv", rows)
     manifest = _write_manifest(
         out, "evolve", cfg, ["trace.csv"],

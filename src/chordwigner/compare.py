@@ -29,7 +29,7 @@ from .oracle import (
     wigner_of_state,
 )
 from .projection import density_matrix_sc, wkb_branches
-from .shells import Chord, _search_chords, build_shell, named_shell
+from .shells import _MASLOV, Chord, _search_chords, build_shell, named_shell
 from .wigner import SemiclassicalState, _terms
 
 
@@ -55,20 +55,11 @@ class CheckResult:
         }
 
 
-def _chord_between(x_plus, x_minus) -> Chord:
-    """Static chord record for rate formulas (geometry fields unused)."""
-    x_plus = np.asarray(x_plus, dtype=float)
-    x_minus = np.asarray(x_minus, dtype=float)
-    return Chord(x_plus=x_plus, x_minus=x_minus, theta_plus=0.0,
-                 theta_minus=0.0, action=0.0, wedge=1.0, tau=0.0,
-                 caustic=False)
-
-
 def check_cat_rate(hbar: float = 0.05, separation: float = 2.0,
                    tolerance: float = 0.01) -> CheckResult:
     """Static cat coherence: oracle decay rate vs (Delta q)^2 / 2 hbar."""
     a = 0.5 * separation
-    chord = _chord_between((0.0, a), (0.0, -a))
+    chord = Chord.from_tips((0.0, a), (0.0, -a))
     semi = hermitian_decay_rate(chord, [position_channel()], hbar)
 
     # 100 points over [-2.5, 2.5) put the tips exactly on the grid
@@ -101,12 +92,13 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
     """Chord-sum Wigner function vs the exact eigenstate's transform.
 
     Pointwise deltas are normalized to the peak oscillation amplitude
-    over the compared (caustic-safe) points; the best-fit phase offset
-    must land near pi/4.
+    over the compared (caustic-safe) points.  The chord phases carry the
+    offset pi/4; the residual offset that fits the oracle best must be
+    near 0, so the fitted Maslov offset lands near pi/4.
     """
     system = make_system("harmonic")
     shell = named_shell(system, hbar, n_level)
-    state = SemiclassicalState(shell=shell, hbar=hbar, maslov=0.0)
+    state = SemiclassicalState(shell=shell, hbar=hbar)
 
     basis = solve_eigenstates(system, hbar, count=n_level + 6)
     wg = wigner_of_state(basis.psis[n_level], basis.qs, hbar)
@@ -119,7 +111,7 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
     xs = np.array([[wg.ps[k], wg.q_centres[s]] for s, k in cells],
                   dtype=float).reshape(-1, 2)
     # points with a caustic or near-caustic chord are left out
-    found = _search_chords(shell, xs, caustic_tol=state.caustic_tol)
+    found = _search_chords(shell, xs)
     amp, win, phase = _terms(state, found)
     z = np.zeros(len(xs), dtype=complex)
     np.add.at(z, found.owner, amp * win * np.exp(1j * phase))
@@ -128,7 +120,7 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
            & (np.bincount(found.owner[skip], minlength=len(xs)) == 0))
     z_arr = z[use]
     ref = np.array([wg.w[s, k] for s, k in cells], dtype=float)[use]
-    phis = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    phis = np.linspace(-np.pi, np.pi, 720, endpoint=False)
     resid = [float(np.sum((np.real(z_arr * np.exp(-1j * f)) - ref) ** 2))
              for f in phis]
     best = int(np.argmin(resid))
@@ -138,16 +130,17 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
     shift = 0.5 * (fm - fp) / (fm - 2 * f0 + fp)
     phi_star = float(phis[best] + shift * (phis[1] - phis[0]))
 
-    w_sc = np.real(z_arr * np.exp(-1j * np.pi / 4))
+    w_sc = np.real(z_arr)
     peak = float(np.max(np.abs(ref)))
     delta = float(np.max(np.abs(w_sc - ref)) / peak)
-    maslov_err = abs((phi_star - np.pi / 4 + np.pi) % (2 * np.pi) - np.pi)
+    maslov_err = abs(phi_star)
     passed = bool(delta < tolerance and maslov_err < maslov_tol)
     return CheckResult(
         name="eigenstate_wigner", semiclassical=float(np.max(np.abs(w_sc))),
         oracle=peak, delta=delta, tolerance=tolerance, passed=passed,
         detail={"n_level": n_level, "hbar": hbar, "n_points": len(ref),
-                "fitted_maslov": phi_star, "maslov_error": float(maslov_err),
+                "fitted_maslov": _MASLOV + phi_star,
+                "maslov_error": maslov_err,
                 "maslov_tolerance": maslov_tol})
 
 

@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .flow import HamiltonianSystem, _poly_eval, _tip_flow
-from .shells import TWO_PI, Chord, ShellSpec, chord_amplitude
+from .shells import _MASLOV, TWO_PI, Chord, ShellSpec, chord_amplitude
 
 
 class NonHermitianError(ValueError):
@@ -107,14 +107,15 @@ def lindblad_rate(chord: Chord, channels: Sequence[LindbladChannel],
                   hbar: float, amplitude: Optional[float] = None) -> float:
     """Instantaneous dW~/dt of one chord term, complex channels allowed.
 
-    (A/hbar) sum_j { Re[L_j(x+) L_j(x-)* e^{iS/hbar}]
-                     - (|L_j(x+)|^2 + |L_j(x-)|^2)/2 * cos(S/hbar) }
+    (A/hbar) sum_j { Re[L_j(x+) L_j(x-)* e^{i phi}]
+                     - (|L_j(x+)|^2 + |L_j(x-)|^2)/2 * cos(phi) }
 
-    A is amplitude when given, else chord_amplitude(chord, hbar), which
-    raises NumericalError on a caustic chord.
+    with phi = S/hbar - pi/4, the phase of the chord's term in the
+    Wigner sum.  A is amplitude when given, else chord_amplitude(chord,
+    hbar), which raises NumericalError on a caustic chord.
     """
     a = amplitude if amplitude is not None else chord_amplitude(chord, hbar)
-    phase = chord.action / hbar
+    phase = chord.action / hbar - _MASLOV
     total = 0.0
     for ch in channels:
         lp = complex(ch(chord.x_plus))

@@ -17,7 +17,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .flow import HamiltonianSystem
 from .lindblad import (LindbladChannel, _require_hermitian,
                        _require_shell_dynamics, shell_d2)
-from .shells import TWO_PI, ShellSpec
+from .shells import _MASLOV, TWO_PI, ShellSpec
 
 # subinterval cap of each adaptive half of the direct-trace integral
 _QUAD_LIMIT = 400
@@ -90,7 +90,7 @@ def direct_trace(shell: ShellSpec, hbar: float,
     for maslov=False (bare chord action in the cosine) and sqrt(2/3)
     with the pi/4 offset.
     """
-    offset = np.pi / 4 if maslov else 0.0
+    offset = _MASLOV if maslov else 0.0
     pref = 1.0 / (4.0 * np.pi * np.sqrt(TWO_PI * hbar))
 
     def ring(u: float, m: int) -> float:

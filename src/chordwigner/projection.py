@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from .flow import HamiltonianSystem, NumericalError
 from .lindblad import LindbladChannel, _require_shell_dynamics, shell_d2
-from .shells import TWO_PI, ShellSpec, build_shell
+from .shells import _MASLOV, TWO_PI, ShellSpec, build_shell
 
 # a query within this fraction of the allowed q span of a turning point
 # gets the single flagged turning branch
@@ -35,7 +35,7 @@ class WKBBranch:
     turning: bool
 
     def phase(self, hbar: float) -> float:
-        return self.action / hbar - self.nu * np.pi / 2 - np.pi / 4
+        return self.action / hbar - self.nu * np.pi / 2 - _MASLOV
 
     @property
     def x(self) -> np.ndarray:

@@ -45,6 +45,10 @@ _N_SCAN = 64
 # Seeds per damped Newton solve.  It bounds the solve's working arrays
 # (about 200 B per seed); a 41x41 grid fits in one solve.
 _NEWTON_BATCH = 16384
+# Every chord term is A cos(S/hbar - _MASLOV).
+_MASLOV = np.pi / 4
+# A chord is caustic where |wedge| < _CAUSTIC_TOL * speed_scale.
+_CAUSTIC_TOL = 1e-3
 
 
 @dataclass
@@ -63,6 +67,7 @@ class ShellSpec:
     _fsp: CubicSpline = field(repr=False, default=None)  # periodic part of F
     _fmean: float = 0.0        # F(theta) = _fmean*theta + periodic part
     speed_scale: float = 1.0   # max |dx/dtheta|^2, for caustic thresholds
+    _turning: tuple = field(repr=False, default=None)  # q_turning_angles
 
     # -- geometry accessors ------------------------------------------------
 
@@ -75,14 +80,18 @@ class ShellSpec:
         return self._xsp(np.asarray(theta, dtype=float) % TWO_PI, 1)
 
     def q_turning_angles(self):
-        """Angles of the min-q (left) and max-q (right) turning points.
+        """Angles of the min-q (left) and max-q (right) turning points,
+        found once per shell; a folded shell raises on every call."""
+        if self._turning is None:
+            self._turning = self._find_q_turning_angles()
+        return self._turning
 
-        The on-shell samples count them (a folded shell, where q turns
-        more than twice, raises); each is then the spline's dq/dtheta
-        root nearest its extreme sample, which passes over the spurious
-        roots a degenerate turning point (q - q_t ~ dtheta^4) leaves
-        within a sample step.
-        """
+    def _find_q_turning_angles(self):
+        """The samples count the turning points (a folded shell, where q
+        turns more than twice, raises); each is the spline's dq/dtheta
+        root nearest its extreme sample, past the spurious roots a
+        degenerate turning point (q - q_t ~ dtheta^4) leaves within a
+        sample step."""
         q = self.points[:, 1]
         dq = np.diff(q, append=q[:1])
         rising = dq[dq != 0] > 0
@@ -196,6 +205,14 @@ class Chord:
     tau: float                 # traversal time along the short arc
     caustic: bool              # |wedge| below threshold: amplitude invalid
     degenerate: bool = False   # zero-length chord (x on the shell)
+
+    @classmethod
+    def from_tips(cls, x_plus, x_minus) -> Chord:
+        """A bare tip pair, for the formulas that read only the tips."""
+        return cls(x_plus=np.asarray(x_plus, dtype=float),
+                   x_minus=np.asarray(x_minus, dtype=float),
+                   theta_plus=0.0, theta_minus=0.0, action=0.0, wedge=1.0,
+                   tau=0.0, caustic=False)
 
     @property
     def centre(self):
@@ -348,8 +365,7 @@ def _dedup(owner, tm, tp):
     return keep
 
 
-def _search_chords(shell: ShellSpec, xs,
-                   caustic_tol: float = 1e-3) -> _ChordArrays:
+def _search_chords(shell: ShellSpec, xs) -> _ChordArrays:
     """The chords of the points xs (n, 2): for each k, owner == k selects
     what find_chords gives for xs[k].  The midpoint scan runs over blocks
     of _BLOCK inside points; one damped Newton then takes every seed of
@@ -409,7 +425,7 @@ def _search_chords(shell: ShellSpec, xs,
         owner=owner, theta_minus=tm, theta_plus=tp,
         action=shell.chord_action(tm, tp), wedge=w,
         tau=shell.traversal_time(tm, tp),
-        caustic=degenerate | (np.abs(w) < caustic_tol * shell.speed_scale),
+        caustic=degenerate | (np.abs(w) < _CAUSTIC_TOL * shell.speed_scale),
         degenerate=degenerate, dropped=dropped)
 
 
@@ -420,10 +436,8 @@ def find_chords(shell: ShellSpec, x) -> List[Chord]:
     angles; solutions are canonicalised to theta_+ - theta_- in [0, pi]
     (short arc) and deduplicated.  Points outside the shell have no
     chords; a point on the shell owns a single zero-length chord, flagged
-    as caustic.  A chord is caustic where |wedge| < 1e-3 speed_scale, a
-    fixed tolerance: eval_state and eval_grid flag with the state's
-    caustic_tol instead, so for any other caustic_tol their flags can
-    differ from these.
+    as caustic.  A chord is caustic where |wedge| < 1e-3 speed_scale, the
+    threshold eval_state and eval_grid flag with too.
     """
     found = _search_chords(shell, np.asarray(x, dtype=float)[None])
     xp, xm = shell.point(found.theta_plus), shell.point(found.theta_minus)

@@ -2,8 +2,8 @@
 
 A pure state lives on a quantized energy shell; each phase-space point
 inside the shell receives one oscillatory term per chord, W(x) =
-sum_k A_k cos(S_k/hbar - maslov).  A spectral state smooths the same
-sum with an energy-window factor per chord traversal time.
+sum_k A_k cos(S_k/hbar - pi/4).  A spectral state smooths the same
+sum with a Gaussian energy-window factor per chord traversal time.
 """
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -12,6 +12,8 @@ import numpy as np
 
 from .flow import HamiltonianSystem, J
 from .shells import (
+    _CAUSTIC_TOL,
+    _MASLOV,
     Chord,
     ShellSpec,
     _amplitude,
@@ -29,7 +31,7 @@ class ChordContribution:
     action: float
     amplitude: float
     window: float          # spectral window factor, 1 for pure states
-    phase: float           # S/hbar - maslov
+    phase: float           # S/hbar - pi/4
     tau: float             # traversal time between the tips
     caustic: bool
 
@@ -54,55 +56,43 @@ class SemiclassicalState:
     shell: ShellSpec
     hbar: float
     epsilon: float = 0.0
-    window_shape: str = "gaussian"
-    maslov: float = np.pi / 4
-    amplitude_scale: float = 1.0
-    caustic_tol: float = 1e-3    # |wedge| / speed_scale threshold
 
     def __post_init__(self):
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
         if self.epsilon < 0:
             raise ValueError("window width must be nonnegative")
-        if self.window_shape not in ("gaussian", "lorentzian"):
-            raise ValueError(f"unknown window shape {self.window_shape!r}")
 
     def conventions(self) -> dict:
         return {
-            "maslov": self.maslov,
-            "window_shape": self.window_shape,
-            "amplitude_scale": self.amplitude_scale,
-            "caustic_tol": self.caustic_tol,
+            "maslov": _MASLOV,
+            "window_shape": "gaussian",
+            "amplitude_scale": 1.0,
+            "caustic_tol": _CAUSTIC_TOL,
             "phase_convention": "W = sum A cos(S/hbar - maslov)",
         }
 
 
 def pure_state(system: HamiltonianSystem, hbar: float,
-               n: Optional[int] = None, energy: Optional[float] = None,
-               **kwargs) -> SemiclassicalState:
+               n: Optional[int] = None, energy: Optional[float] = None
+               ) -> SemiclassicalState:
     """State on the shell quantized by the area rule (n) or at a given E."""
     return SemiclassicalState(shell=named_shell(system, hbar, n, energy),
-                              hbar=hbar, **kwargs)
+                              hbar=hbar)
 
 
 def spectral_state(system: HamiltonianSystem, energy: float, epsilon: float,
-                   hbar: float, window_shape: str = "gaussian",
-                   **kwargs) -> SemiclassicalState:
+                   hbar: float) -> SemiclassicalState:
     return SemiclassicalState(shell=build_shell(system, energy), hbar=hbar,
-                              epsilon=epsilon, window_shape=window_shape,
-                              **kwargs)
+                              epsilon=epsilon)
 
 
-def window_factor(tau, epsilon: float, hbar: float,
-                  shape: str = "gaussian"):
-    """Spectral weight of chords with traversal times tau."""
+def window_factor(tau, epsilon: float, hbar: float):
+    """Gaussian spectral weight exp(-(epsilon tau / hbar)^2 / 2) of chords
+    with traversal times tau."""
     if epsilon == 0.0:
         return 1.0
-    if shape == "gaussian":
-        return np.exp(-0.5 * (epsilon * tau / hbar) ** 2)
-    if shape == "lorentzian":
-        return np.exp(-epsilon * np.abs(tau) / hbar)
-    raise ValueError(f"unknown window shape {shape!r}")
+    return np.exp(-0.5 * (epsilon * tau / hbar) ** 2)
 
 
 def phase_gradient(chord: Chord) -> np.ndarray:
@@ -113,11 +103,11 @@ def phase_gradient(chord: Chord) -> np.ndarray:
 def _terms(state: SemiclassicalState, found: _ChordArrays):
     """Per-chord amplitude (nan on caustic chords), window and phase."""
     with np.errstate(divide="ignore"):
-        amp = state.amplitude_scale * _amplitude(found.wedge, state.hbar)
+        amp = _amplitude(found.wedge, state.hbar)
     amp[found.caustic] = np.nan
-    win = np.broadcast_to(window_factor(found.tau, state.epsilon, state.hbar,
-                                        state.window_shape), amp.shape)
-    return amp, win, found.action / state.hbar - state.maslov
+    win = np.broadcast_to(window_factor(found.tau, state.epsilon, state.hbar),
+                          amp.shape)
+    return amp, win, found.action / state.hbar - _MASLOV
 
 
 def _point_sums(found: _ChordArrays, amp, win, phase, n: int) -> np.ndarray:
@@ -130,13 +120,12 @@ def _point_sums(found: _ChordArrays, amp, win, phase, n: int) -> np.ndarray:
 def eval_state(x, state: SemiclassicalState) -> WignerSample:
     """Chord-sum Wigner value at a phase-space point.
 
-    Caustic chords (wedge under tolerance) are flagged and left out of
+    Caustic chords (|wedge| < 1e-3 speed_scale) are flagged and left out of
     the sum; a point outside the shell returns zero with no
     contributions.
     """
     x = np.asarray(x, dtype=float)
-    found = _search_chords(state.shell, x[None],
-                           caustic_tol=state.caustic_tol)
+    found = _search_chords(state.shell, x[None])
     amp, win, phase = _terms(state, found)
     contribs = tuple(
         ChordContribution(action=float(found.action[k]),
@@ -194,7 +183,7 @@ def eval_grid(state: SemiclassicalState, ps, qs) -> WignerGridResult:
     ps = np.asarray(ps, dtype=float)
     qs = np.asarray(qs, dtype=float)
     xs = np.stack(np.meshgrid(ps, qs), axis=-1).reshape(-1, 2)
-    found = _search_chords(state.shell, xs, caustic_tol=state.caustic_tol)
+    found = _search_chords(state.shell, xs)
     n, shape = len(xs), (len(qs), len(ps))
     values = _point_sums(found, *_terms(state, found), n)
     return WignerGridResult(

@@ -182,10 +182,7 @@ def test_purity_decay_improves_with_hbar(purity_decay_results,
 # --- 7: Trotter convergence ------------------------------------------------
 
 def test_trotter_first_order_convergence(criterion_report):
-    chord0 = Chord(x_plus=np.array([0.0, 0.6]),
-                   x_minus=np.array([0.0, -0.6]),
-                   theta_plus=0.0, theta_minus=0.0, action=0.0, wedge=1.0,
-                   tau=0.0, caustic=False)
+    chord0 = Chord.from_tips([0.0, 0.6], [0.0, -0.6])
     chan = [position_channel()]
     t, hbar = 0.8, 0.05
     cont = np.log(evolve_contribution(chord0, HARMONIC, chan, t,

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import chordwigner
-from chordwigner import (build_shell, chord_amplitude, find_chords,
-                         make_system, momentum_rep_element, position_channel)
+from chordwigner import (ShellSpec, build_shell, chord_amplitude,
+                         find_chords, make_system, momentum_rep_element,
+                         position_channel)
 from chordwigner.cli import (COMMANDS, ConfigError, _build_parser,
-                             load_config, main, physical_conventions)
+                             load_config, main)
 
 
 def write_cfg(path, cfg) -> str:
@@ -95,6 +96,21 @@ def test_project_elements(tmp_path):
     assert len(lines) == 3
     damping = float(lines[1].split(",")[-1])
     assert 0.0 < damping < 1.0
+
+
+@pytest.mark.parametrize("rep", ["position", "momentum"])
+def test_project_finds_turning_angles_once(tmp_path, monkeypatch, rep):
+    searched = []
+    search = ShellSpec._find_q_turning_angles
+    monkeypatch.setattr(ShellSpec, "_find_q_turning_angles",
+                        lambda shell: searched.append(shell) or search(shell))
+    cfg = write_cfg(tmp_path / "c.json", {
+        "system": "harmonic", "hbar": 0.05, "shell": {"energy": 0.5},
+        "channels": ["q"], "t": 0.5, "representation": rep,
+        "pairs": [[0.3, 0.1], [0.4, -0.2], [-0.5, 0.2]],
+    })
+    assert main(["project", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(searched) == 1
 
 
 def test_diffusion_report(tmp_path):
@@ -270,10 +286,26 @@ def test_load_config_rejects_non_object(tmp_path):
         load_config(path)
 
 
-def test_conventions_overridable():
-    conv = physical_conventions(maslov_offset=0.0)
-    assert conv["maslov_offset"] == 0.0
-    assert conv["phase_space_order"] == "(p, q)"
+@pytest.mark.parametrize("key, fixed", [
+    ("maslov", "pi/4"), ("amplitude_scale", "1"),
+    ("caustic_tol", "1e-3 speed_scale"), ("window_shape", "gaussian")])
+def test_build_wigner_rejects_fixed_convention_keys(tmp_path, capsys, key,
+                                                     fixed):
+    # a value equal to the fixed one is rejected too: the key sets nothing
+    value = {"maslov": 0.7853981633974483, "amplitude_scale": 1.0,
+             "caustic_tol": 1e-3, "window_shape": "gaussian"}[key]
+    if key == "window_shape":
+        cfg = dict(WIG_CFG, shell={"energy": 0.5, "epsilon": 0.02,
+                                   key: value})
+        key = "shell.window_shape"
+    else:
+        cfg = dict(WIG_CFG, **{key: value})
+    path = write_cfg(tmp_path / "c.json", cfg)
+    assert main(["build-wigner", "--config", path,
+                 "--out", str(tmp_path)]) == 2
+    assert f'"{key}" cannot be set: it is fixed at {fixed}' in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "wigner.csv").exists()
 
 
 def test_console_script_entry(tmp_path):

@@ -1,4 +1,5 @@
-"""Each committed CSV under demos/demo_out/ is what its demo writes now.
+"""Every demo runs, and each committed CSV under demos/demo_out/ is what
+its demo writes now.
 
 The demos run from copies in a temporary directory, so they write their
 demo_out/ there and the committed files are only read.
@@ -18,10 +19,20 @@ WRITES = {
 }
 
 
-@pytest.mark.parametrize("demo", sorted(WRITES))
-def test_demo_csv_matches_committed(tmp_path, demo):
+def run_demo(tmp_path, demo):
     script = shutil.copy(DEMOS / demo, tmp_path / demo)
     runpy.run_path(str(script), run_name="__main__")
+
+
+@pytest.mark.parametrize("demo", sorted(
+    p.name for p in DEMOS.glob("*.py") if p.name not in WRITES))
+def test_demo_runs(tmp_path, demo):
+    run_demo(tmp_path, demo)
+
+
+@pytest.mark.parametrize("demo", sorted(WRITES))
+def test_demo_csv_matches_committed(tmp_path, demo):
+    run_demo(tmp_path, demo)
     name = WRITES[demo]
     assert ((tmp_path / "demo_out" / name).read_bytes()
             == (DEMOS / "demo_out" / name).read_bytes()), (

@@ -31,6 +31,7 @@ from chordwigner.lindblad import (
 )
 from chordwigner.flow import NumericalError
 from chordwigner.shells import Chord, build_shell, chord_amplitude, find_chords
+from chordwigner.wigner import eval_state, pure_state
 
 harmonic = make_system("harmonic")
 quartic = make_system("quartic")
@@ -64,7 +65,7 @@ def test_rate_reduces_to_hermitian_form():
                   (0, 2): rng.normal()}
         chan = polynomial_channel(coeffs)
         got = lindblad_rate(ch, [chan], hbar=0.05, amplitude=1.0)
-        want = -np.cos(ch.action / 0.05) * hermitian_decay_rate(
+        want = -np.cos(ch.action / 0.05 - np.pi / 4) * hermitian_decay_rate(
             ch, [chan], 0.05)
         assert_allclose(got, want, atol=1e-12 * max(1.0, abs(want)))
 
@@ -84,11 +85,26 @@ def test_rate_complex_ladder_channel():
     hbar = 0.05
     lp = (REF.x_plus[1] + 1j * REF.x_plus[0]) / np.sqrt(2)
     lm = (REF.x_minus[1] + 1j * REF.x_minus[0]) / np.sqrt(2)
+    phase = REF.action / hbar - np.pi / 4
     want = (1 / hbar) * (
-        (lp * np.conj(lm) * np.exp(1j * REF.action / hbar)).real
-        - 0.5 * (abs(lp) ** 2 + abs(lm) ** 2) * np.cos(REF.action / hbar))
+        (lp * np.conj(lm) * np.exp(1j * phase)).real
+        - 0.5 * (abs(lp) ** 2 + abs(lm) ** 2) * np.cos(phase))
     got = lindblad_rate(REF, [chan], hbar, amplitude=1.0)
     assert_allclose(got, want, atol=1e-12)
+
+
+def test_rate_is_damping_of_the_eval_state_term():
+    # for a hermitian channel each chord's rate is -(decay rate) times
+    # its term A cos(S/hbar - pi/4) in the Wigner sum eval_state forms
+    hbar, x = 0.05, (0.15, 0.35)
+    chan = [position_channel(0.3)]
+    state = pure_state(quartic, hbar, energy=0.5)
+    (chord,) = find_chords(state.shell, x)
+    (term,) = eval_state(x, state).contributions
+    rate = lindblad_rate(chord, chan, hbar)
+    assert_allclose(rate, -hermitian_decay_rate(chord, chan, hbar)
+                    * term.value, rtol=1e-12)
+    assert_allclose(rate, -0.83267, atol=1e-5)  # -1.092 without the pi/4
 
 
 def test_rate_default_amplitude_ignores_call_order():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chordwigner import make_system
+from chordwigner import find_chords, make_system
 from chordwigner.oracle import solve_eigenstates, weyl_transform, DensityGrid
 from chordwigner.shells import _BLOCK, _inside
 from chordwigner.wigner import (
@@ -80,6 +80,8 @@ def test_eval_grid_matches_pointwise_loop(system, epsilon,
             assert grid.n_chords[i, k] == len(s.contributions)
             assert grid.caustic[i, k] == s.caustic_flag
             assert grid.dropped_seeds[i, k] == s.dropped_seeds
+            assert ([c.caustic for c in find_chords(shell, (p, q))]
+                    == [c.caustic for c in s.contributions])
     assert grid.caustic[qs == 0.0, ps == 0.0].all()
     for k in ks:  # a shell sample owns one degenerate, caustic chord
         at = (qs == pts[k, 1])[:, None] & (ps == pts[k, 0])[None, :]
@@ -112,13 +114,10 @@ def test_window_factor_forms():
     eps, hbar = 0.02, 0.05
     assert_allclose(window_factor(2 * hbar / eps, eps, hbar), np.exp(-2),
                     atol=1e-14)
-    assert_allclose(window_factor(1.3, eps, hbar, "lorentzian"),
-                    np.exp(-eps * 1.3 / hbar), atol=1e-14)
-    # nonincreasing in |tau| for both shapes
+    # nonincreasing in |tau|
     taus = np.linspace(0, 12, 60)
-    for shape in ("gaussian", "lorentzian"):
-        vals = [window_factor(t, eps, hbar, shape) for t in taus]
-        assert np.all(np.diff(vals) <= 0)
+    vals = [window_factor(t, eps, hbar) for t in taus]
+    assert np.all(np.diff(vals) <= 0)
 
 
 def test_spectral_reduces_to_pure_and_ratio():
