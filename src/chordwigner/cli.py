@@ -212,9 +212,10 @@ def _write_manifest(out: Path, command: str, cfg: Dict,
 
 def run_build_wigner(cfg: Dict, out: Path) -> List[str]:
     """Keys: system, hbar, shell (+ optional epsilon > 0 for a Gaussian
-    spectral window), grid {"p": [lo, hi, n], "q": [lo, hi, n]}.  The
-    keys maslov, amplitude_scale, caustic_tol and shell.window_shape
-    would set fixed conventions; any of them exits 2."""
+    spectral window; a negative one exits 2), grid {"p": [lo, hi, n],
+    "q": [lo, hi, n]}.  The keys maslov, amplitude_scale, caustic_tol
+    and shell.window_shape would set fixed conventions; any of them
+    exits 2."""
     spec = cfg.get("shell")
     fixed = {k: v for k, v in _FIXED_KEYS.items() if k in cfg}
     if isinstance(spec, dict) and "window_shape" in spec:
@@ -226,9 +227,8 @@ def run_build_wigner(cfg: Dict, out: Path) -> List[str]:
     system = _system_from(cfg)
     hbar = _hbar_from(cfg)
     shell = _shell_from(cfg, system, hbar)
-    epsilon = float(spec.get("epsilon", 0.0))
     state = SemiclassicalState(shell=shell, hbar=hbar,
-                               epsilon=epsilon if epsilon > 0.0 else 0.0)
+                               epsilon=float(spec.get("epsilon", 0.0)))
 
     grid = cfg.get("grid")
     if not (isinstance(grid, dict) and "p" in grid and "q" in grid):
@@ -320,8 +320,9 @@ def run_diffusion(cfg: Dict, out: Path) -> List[str]:
 
 def run_normalize(cfg: Dict, out: Path) -> List[str]:
     """Keys: system, hbar, shell, optional channels / trace_hbars /
-    decay_times / n_angle.  The purity exponent is D^2/hbar; an
-    "exponent" key other than "hbar" is a configuration error."""
+    decay_times / n_angle (even, >= 4).  The purity exponent is
+    D^2/hbar; an "exponent" key other than "hbar" is a configuration
+    error."""
     system = _system_from(cfg)
     hbar = _hbar_from(cfg)
     channels = _channels_from(cfg)

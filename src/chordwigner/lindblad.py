@@ -11,7 +11,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .flow import HamiltonianSystem, _poly_eval, _tip_flow
 from .shells import _MASLOV, TWO_PI, Chord, ShellSpec, chord_amplitude
@@ -152,9 +151,10 @@ def shell_d2(shell: ShellSpec, theta_a, theta_b, t: float,
     The shell is sampled uniformly in time, so a tip at angle theta is at
     theta + 2 pi s / T a time s later: spline lookups at shared Simpson
     nodes (>= 129, 512 intervals per period).  D^2 is the squared
-    distance of the sqrt(w)-weighted channel samples, 0 for equal tips.
-    Passing the same array for both angle sets samples it once and
-    computes each pair once (pdist).
+    distance of the sqrt(w)-weighted channel samples f_i, g_j, from one
+    Gram product: (|f_i|^2 + |g_j|^2) - 2 f_i.g_j, clamped at 0 and
+    exactly 0 for equal tips.  Passing the same array for both angle
+    sets samples the shell once; the result is then bitwise symmetric.
     """
     ta = np.atleast_1d(np.asarray(theta_a, dtype=float))
     tb = np.atleast_1d(np.asarray(theta_b, dtype=float))
@@ -167,13 +167,19 @@ def shell_d2(shell: ShellSpec, theta_a, theta_b, t: float,
     w = np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0] * t / (3 * n - 3)
     shift = TWO_PI / shell.period * np.linspace(0.0, t, n)
     same = theta_b is theta_a
-    x = shell.point((ta if same else np.concatenate([ta, tb]))
-                    + shift[:, None])  # (n, a or a+b, 2)
-    feats = np.concatenate([np.sqrt(w)[:, None] * ch(x)
-                            for ch in channels]).T
-    if same:
-        return squareform(pdist(feats, "sqeuclidean"))
-    return cdist(feats[:ta.size], feats[ta.size:], "sqeuclidean")
+    x = shell.point((ta if same else np.concatenate([ta, tb]))[:, None]
+                    + shift)  # (a or a+b, n, 2)
+    # one contiguous row per tip, so the row sums below are pairwise
+    feats = np.concatenate([np.sqrt(w) * ch(x) for ch in channels], axis=1)
+    norm2 = (feats * feats).sum(axis=1)
+    b0 = 0 if same else ta.size  # first row of the b set
+    d2 = feats[:ta.size] @ feats[b0:].T
+    d2 *= -2.0
+    # the outer sum first, so (i, j) and (j, i) round alike
+    d2 += np.add.outer(norm2[:ta.size], norm2[b0:])
+    np.maximum(d2, 0.0, out=d2)
+    d2[ta[:, None] == tb] = 0.0
+    return d2
 
 
 def _record(flow: Callable, channels: Sequence[LindbladChannel],

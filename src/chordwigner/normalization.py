@@ -60,14 +60,18 @@ def purity_decay(shell: ShellSpec, system: HamiltonianSystem,
     pair's angles and move along the shell (shell_d2); system must be
     shell.system.  The exponent D^2/hbar is the square of the chord
     damping exp(-D^2 / 2 hbar), because the density enters tr rho^2
-    twice.
+    twice.  The ring has n_angle angles, an even count >= 4, so that
+    every other angle (the error probe) is a uniform ring too.
     """
     _require_hermitian(channels)
     _require_shell_dynamics(shell, system)
+    if n_angle < 4 or n_angle % 2:
+        raise ValueError(f"n_angle must be even and >= 4, got {n_angle}")
     if t == 0 or not channels:
         return AngleIntegralReport(value=1.0, grid=n_angle, est_error=0.0)
     thetas = np.arange(n_angle) * TWO_PI / n_angle
-    damp = np.exp(-shell_d2(shell, thetas, thetas, t, channels) / hbar)
+    d2 = shell_d2(shell, thetas, thetas, t, channels)
+    damp = np.exp(np.divide(d2, -hbar, out=d2), out=d2)
     value = float(damp.mean())
     return AngleIntegralReport(value=value, grid=n_angle, est_error=abs(
         value - float(damp[::2, ::2].mean())))

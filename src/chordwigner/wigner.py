@@ -60,8 +60,8 @@ class SemiclassicalState:
     def __post_init__(self):
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.epsilon < 0:
-            raise ValueError("window width must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("window width must be finite and nonnegative")
 
     def conventions(self) -> dict:
         return {

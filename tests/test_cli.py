@@ -152,6 +152,15 @@ def test_normalize_rejects_other_exponents(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_normalize_rejects_short_angle_ring(tmp_path):
+    cfg = write_cfg(tmp_path / "c.json", {
+        "system": "harmonic", "hbar": 0.05, "shell": {"energy": 0.5},
+        "channels": ["q"], "decay_times": [0.25], "n_angle": 1})
+    out = tmp_path / "out"
+    assert main(["normalize", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "normalize.json").exists()
+
+
 def test_oracle_compare_subset(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", {"checks": ["cat_rate"]})
     assert main(["oracle-compare", "--config", cfg,
@@ -206,6 +215,17 @@ def test_config_errors_exit_2(tmp_path):
          "shell": {"n": 3, "energy": 0.5}, "channels": [], "pairs": [[0, 0]]})
     assert main(["project", "--config", both_shell_keys,
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
+def test_build_wigner_rejects_bad_epsilon(tmp_path, epsilon):
+    # a window width that is negative or not finite is a config error,
+    # never a pure state
+    cfg = write_cfg(tmp_path / "e.json", dict(
+        WIG_CFG, shell={"energy": 0.5, "epsilon": epsilon}))
+    out = tmp_path / "out"
+    assert main(["build-wigner", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "build-wigner_manifest.json").exists()
 
 
 def test_build_wigner_needs_exactly_one_shell_key(tmp_path):

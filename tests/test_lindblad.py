@@ -248,14 +248,60 @@ def test_shell_d2_matches_flowed_tips(kind, stiffness, amplitude, theta,
 
 
 def test_shell_d2_same_angles_match_cross_pairs():
-    # one angle array for both sets takes the symmetric (pdist) path;
-    # it must agree bit for bit with the cross-pair (cdist) path
+    # one angle array for both sets samples the shell once; it must agree
+    # bit for bit with two equal arrays, which sample it for each set
     shell = build_shell(quartic, 0.5)
     thetas = np.arange(64) * 2 * np.pi / 64
     chans = [position_channel(), momentum_channel(0.5)]
     sym = shell_d2(shell, thetas, thetas, 0.9, chans)
     cross = shell_d2(shell, thetas, thetas.copy(), 0.9, chans)
     assert np.array_equal(sym, cross)
+
+
+GRAM_CHANNELS = dict(SHELL_CHANNELS, qp=polynomial_channel(
+    {(0, 1): 1.0, (1, 0): 1.0}))
+ANGLES = st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
+       stiffness=st.floats(0.0, 1.0), amplitude=st.floats(0.5, 2.0),
+       theta_a=ANGLES, theta_b=ANGLES, shared=st.booleans(),
+       fraction=st.floats(1e-3, 1.0),
+       channel=st.sampled_from(sorted(GRAM_CHANNELS)))
+def test_shell_d2_gram_form_matches_pairwise_sum(kind, stiffness, amplitude,
+                                                 theta_a, theta_b, shared,
+                                                 fraction, channel):
+    # the Gram form |f|^2 + |g|^2 - 2 f.g against the pairwise sum
+    # sum_k w_k (L(a_i + s_k) - L(b_j + s_k))^2 on the same Simpson nodes
+    c = {"oscillator": 5.0 + 3.0 * stiffness,
+         "quartic": 150.0 + 250.0 * stiffness,
+         "pendulum": 35.0 + 25.0 * stiffness}[kind]
+    energy = {"oscillator": 0.5, "quartic": 2.0,
+              "pendulum": -c * np.cos(amplitude)}[kind]
+    shell = build_shell(_shell_family(kind, c), energy)
+    t = fraction * shell.period
+    ch = GRAM_CHANNELS[channel]
+    ta = np.array(theta_a)
+    tb = np.array(theta_b + theta_a[:1] if shared else theta_b)
+    n = 2 * int(np.ceil(max(64.0, 256.0 * t / shell.period))) + 1
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[[0, -1]] = 1.0
+    w *= t / (3 * (n - 1))
+    angle = 2 * np.pi / shell.period * np.linspace(0.0, t, n)
+    la = ch(shell.point(ta[:, None] + angle))
+    lb = ch(shell.point(tb[:, None] + angle))
+    ref = (w * (la[:, None, :] - lb[None, :, :]) ** 2).sum(axis=-1)
+    scale = t * np.max(ch(shell.points) ** 2)
+    d2 = shell_d2(shell, ta, tb, t, [ch])
+    assert d2.shape == (ta.size, tb.size)
+    assert_allclose(d2, ref, rtol=1e-12, atol=1e-14 * scale)
+    assert np.all(d2[ta[:, None] == tb] == 0.0)
+    sym = shell_d2(shell, ta, ta, t, [ch])
+    assert np.array_equal(sym, sym.T)
+    assert np.all(np.diag(sym) == 0.0)
+    assert np.all(sym >= 0.0)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

@@ -85,6 +85,16 @@ def test_purity_decay_small_time_rate():
     assert 1.0 - rep.value == pytest.approx(t * mean_dl2 / HBAR, rel=0.01)
 
 
+@pytest.mark.parametrize("n_angle", [0, 1, 2, 3, 255])
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_purity_decay_rejects_short_or_odd_ring(n_angle, t):
+    # an empty or one-angle ring used to read 1.0 at any t, and an odd
+    # ring has no uniform every-other-angle probe
+    with pytest.raises(ValueError, match="n_angle"):
+        purity_decay(SHELL, HARM, [position_channel()], t, HBAR,
+                     n_angle=n_angle)
+
+
 def test_purity_decay_rejects_nonhermitian():
     ladder = polynomial_channel({(1, 0): 1j, (0, 1): 1.0})
     with pytest.raises(NonHermitianError):
