@@ -37,7 +37,6 @@ from .wigner import (  # noqa: F401
     eval_state,
     phase_gradient,
     pure_state,
-    spectral_state,
     window_factor,
 )
 
@@ -47,7 +46,6 @@ from .lindblad import (  # noqa: F401
     LindbladChannel,
     NonHermitianError,
     decoherence_distance,
-    energy_channel,
     evolution_trace,
     evolve_contribution,
     hermitian_decay_rate,

@@ -246,9 +246,9 @@ def check_purity_decay(hbar: float = 0.05, tolerance: float = 0.10,
     worst = float(max(deltas)) if deltas else float("nan")
     passed = bool(deltas) and worst < tolerance
     return CheckResult(
-        name="purity_decay", semiclassical=rows[-1]["semiclassical"],
-        oracle=rows[-1]["oracle"], delta=worst, tolerance=tolerance,
-        passed=passed,
+        name="purity_decay", delta=worst, tolerance=tolerance, passed=passed,
+        semiclassical=rows[-1]["semiclassical"] if rows else float("nan"),
+        oracle=rows[-1]["oracle"] if rows else float("nan"),
         detail={"hbar": hbar, "n_level": n_level, "exponent": "hbar",
                 "rows": rows})
 

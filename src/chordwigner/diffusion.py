@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .flow import HamiltonianSystem, periodic_orbit, shell_start
-from .lindblad import LindbladChannel, _require_hermitian
+from .lindblad import LindbladChannel, _orbit_modes, _require_hermitian
 from .shells import TWO_PI
 
 
@@ -24,16 +24,15 @@ def bracket_rate(energy: float, channels: Sequence[LindbladChannel],
 
     The coefficient of tau^2 in the short-chord damping exponent
     (t / 2 hbar) * rate * tau^2.  Along the orbit {H, L} = -dL/dt, so
-    the time average is the Parseval sum  sum_k (2 pi k / T)^2 |L_k|^2
-    over the Fourier modes L_k of L at the periodic_orbit samples, one
-    orbit for all channels.
+    the time average is the Parseval sum  sum_m (2 pi m / T)^2 |c_m|^2
+    over the modes c_m of L (lindblad._orbit_modes, as in shell_d2) at
+    the periodic_orbit samples, one orbit for all channels.
     """
     _require_hermitian(channels)
     period, pts = periodic_orbit(system, shell_start(system, energy))
-    n = len(pts)
-    omega2 = (TWO_PI / period * np.fft.fftfreq(n, d=1.0 / n)) ** 2
-    return float(sum(np.sum(omega2 * np.abs(np.fft.fft(ch(pts)) / n) ** 2)
-                     for ch in channels))
+    m, c = _orbit_modes(pts, channels)
+    omega2 = (TWO_PI / period * m) ** 2
+    return float(sum(np.sum(omega2 * np.abs(cj) ** 2) for cj in c))
 
 
 def window_width(epsilon0: float, t: float, hbar: float,

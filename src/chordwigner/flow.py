@@ -33,6 +33,7 @@ __all__ = [
 # Symplectic unit: J @ grad(H) is the hamiltonian vector field in [p, q]
 # ordering, i.e. (pdot, qdot) = (-dH/dq, +dH/dp).
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
+_ORBIT_TOL = 1e-12  # rtol = atol of the tip flow and of closed orbits
 
 
 class NumericalError(ValueError):
@@ -154,7 +155,7 @@ class Trajectory:
 
 def _tip_flow(system, x0, t: float):
     """Dense solution of one DOP853 integration of the batch x0 (..., 2)
-    over [0, t], at the closed-orbit settings (rtol = atol = 1e-12).
+    over [0, t], at the closed-orbit settings (rtol = atol = _ORBIT_TOL).
 
     Returns a callable mapping times (m,) in [0, t] to points (m, ..., 2).
     Raises RuntimeError when the solver fails.
@@ -166,8 +167,8 @@ def _tip_flow(system, x0, t: float):
     x0 = np.asarray(x0, dtype=float)
     sol = solve_ivp(
         lambda _, y: system.velocity(y.reshape(x0.shape)).ravel(),
-        (0.0, t), x0.ravel(), method="DOP853", rtol=1e-12, atol=1e-12,
-        dense_output=True)
+        (0.0, t), x0.ravel(), method="DOP853", rtol=_ORBIT_TOL,
+        atol=_ORBIT_TOL, dense_output=True)
     if sol.status == -1:
         raise RuntimeError(f"tip flow to t={t} failed: {sol.message}")
     return lambda s: sol.sol(np.asarray(s, dtype=float)).T.reshape(
@@ -218,7 +219,7 @@ def _closed_orbit(system, x0, t_max: float = 400.0, dense: bool = False):
     section.terminal = True
     section.direction = 1.0
     sol = solve_ivp(rhs, (0.0, t_max), [x0[0], x0[1], 0.0], method="DOP853",
-                    rtol=1e-12, atol=1e-12, dense_output=dense,
+                    rtol=_ORBIT_TOL, atol=_ORBIT_TOL, dense_output=dense,
                     events=section)
     if sol.status == -1:
         raise RuntimeError(f"orbit integration failed: {sol.message}")

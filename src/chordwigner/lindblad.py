@@ -12,8 +12,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import simpson
 
-from .flow import HamiltonianSystem, _poly_eval, _tip_flow
-from .shells import _MASLOV, TWO_PI, Chord, ShellSpec, chord_amplitude
+from .flow import HamiltonianSystem, _ORBIT_TOL, _poly_eval, _tip_flow
+from .shells import _MASLOV, Chord, ShellSpec, chord_amplitude
 
 
 class NonHermitianError(ValueError):
@@ -51,13 +51,6 @@ def polynomial_channel(coeffs: dict, coupling: float = 1.0,
         name=name or f"poly{sorted(coeffs)}",
         func=lambda x: _poly_eval(table, x),
         hermitian=all(complex(c).imag == 0 for c in coeffs.values()))
-
-
-def energy_channel(func: Callable, system: HamiltonianSystem,
-                   name: str = "f(H)") -> LindbladChannel:
-    """L = f(H(x)): commutes with the flow, so shell chords never damp."""
-    return LindbladChannel(
-        name=name, func=lambda x: func(system.energy(x)))
 
 
 def make_channel(symbol, coupling: float = 1.0) -> LindbladChannel:
@@ -144,17 +137,30 @@ def _require_shell_dynamics(shell: ShellSpec, system) -> None:
                          "object as the dynamics")
 
 
+def _orbit_modes(points, channels: Sequence[LindbladChannel]):
+    """(m, c) with L_j(theta) = sum_m c[j, m] e^{i m theta}, one FFT row per
+    channel over orbit samples uniform in time.  A mode whose |c| is at
+    most the closed orbit's rtol times the channel's largest |c| is
+    integration noise and is set to exactly 0."""
+    n = len(points)
+    c = np.fft.fft(np.reshape([ch(points) for ch in channels], (-1, n))) / n
+    mag = np.abs(c)
+    c[mag <= _ORBIT_TOL * mag.max(axis=1, keepdims=True)] = 0.0
+    return np.fft.fftfreq(n, d=1.0 / n), c
+
+
 def shell_d2(shell: ShellSpec, theta_a, theta_b, t: float,
              channels: Sequence[LindbladChannel]) -> np.ndarray:
     """D_t^2 of every pair of on-shell tips, an (|a|, |b|) matrix.
 
-    The shell is sampled uniformly in time, so a tip at angle theta is at
-    theta + 2 pi s / T a time s later: spline lookups at shared Simpson
-    nodes (>= 129, 512 intervals per period).  D^2 is the squared
-    distance of the sqrt(w)-weighted channel samples f_i, g_j, from one
-    Gram product: (|f_i|^2 + |g_j|^2) - 2 f_i.g_j, clamped at 0 and
-    exactly 0 for equal tips.  Passing the same array for both angle
-    sets samples the shell once; the result is then bitwise symmetric.
+    A tip at angle theta is at theta + ws a time s later (w = 2 pi / T),
+    so over the channel modes c_m of the shell (_orbit_modes) D^2 is the
+    exact form sum d_m conj(d_m') G_mm', d_m = c_m (e^{ima} - e^{imb}),
+    G_mm' = int_0^t e^{i(m - m')ws} ds = e^{i(m - m')wt/2} K_mm'.  The real
+    K = t sinc((m - m')t/T) = U diag(lam) U^T (lam clipped at 0) gives each
+    tip the features [Re, Im] of (c e^{im(theta + wt/2)}) U lam^1/2, and
+    D^2 = |f_i|^2 + |g_j|^2 - 2 f_i.g_j is one Gram product, clamped at 0,
+    exactly 0 for equal tips and bitwise symmetric on one angle array.
     """
     ta = np.atleast_1d(np.asarray(theta_a, dtype=float))
     tb = np.atleast_1d(np.asarray(theta_b, dtype=float))
@@ -163,14 +169,17 @@ def shell_d2(shell: ShellSpec, theta_a, theta_b, t: float,
     if t == 0 or not channels:
         return np.zeros((ta.size, tb.size))
     _require_hermitian(channels)
-    n = 2 * int(np.ceil(max(64.0, 256.0 * t / shell.period))) + 1
-    w = np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0] * t / (3 * n - 3)
-    shift = TWO_PI / shell.period * np.linspace(0.0, t, n)
+    m, c = _orbit_modes(shell.points, channels)
+    keep = np.any(c != 0.0, axis=0) & (m != 0)  # m = 0 cancels in d_m
+    m, c = m[keep], c[:, keep]
+    lam, u = np.linalg.eigh(t * np.sinc(np.subtract.outer(m, m)
+                                        * (t / shell.period)))
+    u *= np.sqrt(np.maximum(lam, 0.0))
     same = theta_b is theta_a
-    x = shell.point((ta if same else np.concatenate([ta, tb]))[:, None]
-                    + shift)  # (a or a+b, n, 2)
+    mid = (ta if same else np.concatenate([ta, tb])) + np.pi * t / shell.period
+    z = np.exp(1j * np.multiply.outer(mid, m)) @ np.hstack(c[:, :, None] * u)
     # one contiguous row per tip, so the row sums below are pairwise
-    feats = np.concatenate([np.sqrt(w) * ch(x) for ch in channels], axis=1)
+    feats = np.concatenate([z.real, z.imag], axis=1)
     norm2 = (feats * feats).sum(axis=1)
     b0 = 0 if same else ta.size  # first row of the b set
     d2 = feats[:ta.size] @ feats[b0:].T
@@ -218,8 +227,8 @@ def decoherence_distance(x_plus0, x_minus0, system: HamiltonianSystem,
                          t: float) -> DecoherenceRecord:
     """D_t from the two tip trajectories: one adaptive dense flow of the
     pair, sampled on the composite-Simpson grid of _record.  For tips on
-    a shell of this system, shell_d2 gives the same number from spline
-    lookups."""
+    a shell of this system, shell_d2 gives the same number from the
+    shell's Fourier modes."""
     _require_hermitian(channels)
     flow = _tip_flow(system, np.stack([x_plus0, x_minus0]), t)
     return _record(flow, channels, t)

@@ -19,7 +19,6 @@ from .shells import (
     _amplitude,
     _ChordArrays,
     _search_chords,
-    build_shell,
     named_shell,
 )
 
@@ -79,12 +78,6 @@ def pure_state(system: HamiltonianSystem, hbar: float,
     """State on the shell quantized by the area rule (n) or at a given E."""
     return SemiclassicalState(shell=named_shell(system, hbar, n, energy),
                               hbar=hbar)
-
-
-def spectral_state(system: HamiltonianSystem, energy: float, epsilon: float,
-                   hbar: float) -> SemiclassicalState:
-    return SemiclassicalState(shell=build_shell(system, energy), hbar=hbar,
-                              epsilon=epsilon)
 
 
 def window_factor(tau, epsilon: float, hbar: float):

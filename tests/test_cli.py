@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chordwigner
@@ -169,6 +170,21 @@ def test_oracle_compare_subset(tmp_path):
     assert report["all_passed"] is True
     assert report["results"][0]["name"] == "cat_rate"
     assert report["results"][0]["delta"] < 0.01
+
+
+def test_oracle_compare_purity_decay_with_no_comparable_time(tmp_path):
+    # the oracle purity is below 0.5 at t = 0.1, so no row compares
+    cfg = write_cfg(tmp_path / "c.json", {
+        "checks": ["purity_decay"],
+        "params": {"purity_decay": {"times": [0.1]}}})
+    assert main(["oracle-compare", "--config", cfg,
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "compare.json").read_text())
+    assert report["all_passed"] is False
+    (result,) = report["results"]
+    assert result["passed"] is False and result["detail"]["rows"] == []
+    assert all(np.isnan(result[k])
+               for k in ("semiclassical", "oracle", "delta"))
 
 
 def test_oracle_compare_rejects_unknown_check(tmp_path):

@@ -11,8 +11,8 @@ from chordwigner.diffusion import (
 )
 from chordwigner.flow import hamiltonian_flow
 from chordwigner.lindblad import (
+    LindbladChannel,
     NonHermitianError,
-    energy_channel,
     hermitian_decay_rate,
     momentum_channel,
     polynomial_channel,
@@ -29,7 +29,7 @@ def test_bracket_rate_position_channel():
 
 
 def test_bracket_rate_energy_channel_vanishes():
-    chan = energy_channel(lambda e: np.sin(e), harmonic)
+    chan = LindbladChannel("sin H", lambda x: np.sin(harmonic.energy(x)))
     assert abs(bracket_rate(0.5, [chan], harmonic)) < 1e-10
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad_vec
 
 from chordwigner import (
     HamiltonianSystem,
@@ -14,9 +15,9 @@ from chordwigner import (
     polynomial_system,
 )
 from chordwigner.lindblad import (
+    LindbladChannel,
     NonHermitianError,
     decoherence_distance,
-    energy_channel,
     evolution_trace,
     evolve_contribution,
     hermitian_decay_rate,
@@ -263,17 +264,19 @@ GRAM_CHANNELS = dict(SHELL_CHANNELS, qp=polynomial_channel(
 ANGLES = st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=12)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
        stiffness=st.floats(0.0, 1.0), amplitude=st.floats(0.5, 2.0),
        theta_a=ANGLES, theta_b=ANGLES, shared=st.booleans(),
        fraction=st.floats(1e-3, 1.0),
        channel=st.sampled_from(sorted(GRAM_CHANNELS)))
-def test_shell_d2_gram_form_matches_pairwise_sum(kind, stiffness, amplitude,
-                                                 theta_a, theta_b, shared,
-                                                 fraction, channel):
-    # the Gram form |f|^2 + |g|^2 - 2 f.g against the pairwise sum
-    # sum_k w_k (L(a_i + s_k) - L(b_j + s_k))^2 on the same Simpson nodes
+def test_shell_d2_gram_form_matches_exact_flow(kind, stiffness, amplitude,
+                                               theta_a, theta_b, shared,
+                                               fraction, channel):
+    # the Gram form's structure on every shell kind; on the oscillator
+    # H = p^2/2 + c^2 q^2/2 the tips from shell.point move by the exact
+    # rotation of (q, p/c) through the angle c s, and the time integral
+    # of each pair's squared channel difference is adaptive quadrature
     c = {"oscillator": 5.0 + 3.0 * stiffness,
          "quartic": 150.0 + 250.0 * stiffness,
          "pendulum": 35.0 + 25.0 * stiffness}[kind]
@@ -284,24 +287,59 @@ def test_shell_d2_gram_form_matches_pairwise_sum(kind, stiffness, amplitude,
     ch = GRAM_CHANNELS[channel]
     ta = np.array(theta_a)
     tb = np.array(theta_b + theta_a[:1] if shared else theta_b)
-    n = 2 * int(np.ceil(max(64.0, 256.0 * t / shell.period))) + 1
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[[0, -1]] = 1.0
-    w *= t / (3 * (n - 1))
-    angle = 2 * np.pi / shell.period * np.linspace(0.0, t, n)
-    la = ch(shell.point(ta[:, None] + angle))
-    lb = ch(shell.point(tb[:, None] + angle))
-    ref = (w * (la[:, None, :] - lb[None, :, :]) ** 2).sum(axis=-1)
-    scale = t * np.max(ch(shell.points) ** 2)
     d2 = shell_d2(shell, ta, tb, t, [ch])
     assert d2.shape == (ta.size, tb.size)
-    assert_allclose(d2, ref, rtol=1e-12, atol=1e-14 * scale)
     assert np.all(d2[ta[:, None] == tb] == 0.0)
     sym = shell_d2(shell, ta, ta, t, [ch])
     assert np.array_equal(sym, sym.T)
     assert np.all(np.diag(sym) == 0.0)
     assert np.all(sym >= 0.0)
+    if kind != "oscillator":
+        return
+
+    def flowed(x, s):
+        p, q = x[:, 0], x[:, 1]
+        cos, sin = np.cos(c * s), np.sin(c * s)
+        return np.stack([p * cos - c * q * sin, q * cos + p / c * sin], -1)
+
+    xa, xb = shell.point(ta), shell.point(tb)
+    scale = t * np.max(ch(shell.points) ** 2)
+    ref = quad_vec(lambda s: (ch(flowed(xa, s))[:, None]
+                              - ch(flowed(xb, s))[None, :]) ** 2,
+                   0.0, t, epsabs=1e-13 * scale, epsrel=1e-13)[0]
+    assert_allclose(d2, ref, rtol=0, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("name, energy", [("quartic", 0.5),
+                                          ("pendulum", -0.4)])
+def test_shell_d2_of_energy_channels_is_exactly_zero(name, energy):
+    # L = f(H) has only the m = 0 mode on a shell, which cancels from
+    # every tip difference; a coupling-0 channel has no mode at all
+    system = make_system(name)
+    shell = build_shell(system, energy)
+    thetas = np.arange(64) * 2 * np.pi / 64
+    chan = LindbladChannel("cos 3H", lambda x: np.cos(3 * system.energy(x)))
+    for chans in ([chan], [position_channel(0.0)],
+                  [chan, position_channel(0.0)]):
+        for tb in (thetas, thetas[::-1] + 0.1):
+            d2 = shell_d2(shell, thetas, tb, 0.7 * shell.period, chans)
+            assert np.array_equal(d2, np.zeros((64, 64)))
+
+
+@pytest.mark.parametrize("name, energy", [("harmonic", 0.5),
+                                          ("quartic", 0.5),
+                                          ("pendulum", -0.4)])
+def test_shell_d2_ignores_a_constant_offset(name, energy):
+    # L + 1000 has the differences of L; its m = 0 mode, left in the
+    # features, would inflate the Gram norms a million-fold and cost
+    # the cancellation 1e-7 of D^2
+    shell = build_shell(make_system(name), energy)
+    thetas = np.arange(64) * 2 * np.pi / 64
+    t = 0.6 * shell.period
+    plain = shell_d2(shell, thetas, thetas, t, [position_channel()])
+    offset = shell_d2(shell, thetas, thetas, t,
+                      [polynomial_channel({(0, 1): 1.0, (0, 0): 1e3})])
+    assert_allclose(offset, plain, rtol=1e-8)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -353,7 +391,7 @@ def test_tip_flow_invariants(kind, coupling, radii, angles, fraction, split,
 def test_energy_channel_never_damps_shell_chords():
     shell = build_shell(harmonic, 0.5)
     chord = [c for c in find_chords(shell, (0.0, 0.5)) if not c.caustic][0]
-    chan = energy_channel(lambda e: np.cos(3 * e), harmonic)
+    chan = LindbladChannel("cos 3H", lambda x: np.cos(3 * harmonic.energy(x)))
     rec = decoherence_distance(chord.x_plus, chord.x_minus, harmonic,
                                [chan], 2.0)
     assert rec.d2 < 1e-20

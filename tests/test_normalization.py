@@ -6,8 +6,8 @@ import pytest
 
 from chordwigner import build_shell, make_system
 from chordwigner.lindblad import (
+    LindbladChannel,
     NonHermitianError,
-    energy_channel,
     polynomial_channel,
     position_channel,
 )
@@ -49,7 +49,7 @@ def test_purity_decay_trivial_cases():
                         HBAR).value == 1.0
     assert purity_decay(SHELL, HARM, [], 2.0, HBAR).value == 1.0
     # L = f(H) is constant on the shell: no pair ever separates in L
-    chan = energy_channel(lambda e: e * e, HARM)
+    chan = LindbladChannel("H^2", lambda x: HARM.energy(x) ** 2)
     assert purity_decay(SHELL, HARM, [chan], 1.7, HBAR).value == \
         pytest.approx(1.0, abs=1e-9)
 

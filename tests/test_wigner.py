@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chordwigner import find_chords, make_system
+from chordwigner import build_shell, find_chords, make_system
 from chordwigner.oracle import solve_eigenstates, weyl_transform, DensityGrid
 from chordwigner.shells import _BLOCK, _inside
 from chordwigner.wigner import (
+    SemiclassicalState,
     eval_grid,
     eval_state,
     pure_state,
-    spectral_state,
     window_factor,
 )
 
@@ -60,7 +60,7 @@ def test_eval_grid_matches_pointwise_loop(system, epsilon,
     # also holds the bounding-box edges of the shell samples and exact
     # samples (on the shell), and its inside points span several blocks
     energy = -0.4 if system is pendulum else 0.5
-    state = spectral_state(system, energy, epsilon, 0.05)
+    state = SemiclassicalState(build_shell(system, energy), 0.05, epsilon)
     shell = state.shell
     pts = shell.points
     ks = [np.argmin(pts[:, 0]), np.argmax(pts[:, 0]),
@@ -122,11 +122,11 @@ def test_window_factor_forms():
 
 def test_spectral_reduces_to_pure_and_ratio():
     pure = pure_state(harmonic, hbar=0.05, energy=0.5)
-    zero_eps = spectral_state(harmonic, 0.5, 0.0, 0.05)
+    zero_eps = SemiclassicalState(build_shell(harmonic, 0.5), 0.05, 0.0)
     x = (0.0, 0.5)
     assert_allclose(eval_state(x, zero_eps).value, eval_state(x, pure).value,
                     atol=1e-12)
-    sp = spectral_state(harmonic, 0.5, 0.02, 0.05)
+    sp = SemiclassicalState(build_shell(harmonic, 0.5), 0.05, 0.02)
     cp = eval_state(x, pure).contributions[0]
     cs = eval_state(x, sp).contributions[0]
     assert_allclose(cs.value / cp.value,
@@ -156,7 +156,7 @@ def test_oscillation_wavelength_matches_phase_gradient():
 
 
 def test_grid_eval_emission(tmp_path):
-    st = spectral_state(harmonic, 0.5, 0.02, 0.05)
+    st = SemiclassicalState(build_shell(harmonic, 0.5), 0.05, 0.02)
     res = eval_grid(st, ps=np.linspace(-0.4, 0.4, 5),
                     qs=np.linspace(-0.4, 0.4, 6))
     assert res.values.shape == (6, 5)
