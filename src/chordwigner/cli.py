@@ -26,8 +26,9 @@ Shared config keys (per-command keys are documented on each runner):
   times      explicit list, or {"t_final": T, "n": count}
 
 Exit codes: 0 success, 2 configuration error (unknown command, bad or
-missing key, a key that sets a fixed convention, unresolvable name,
-non-hermitian channel), 3 numerical failure (empty shell, folded shell,
+missing key, a key that sets a fixed convention or an acceptance
+target, a number that is not finite, unresolvable name, non-hermitian
+channel), 3 numerical failure (empty shell, folded shell,
 turning-point query, caustic amplitude, oracle divergence).
 
 Manifests embed the sha256 of the config body and state every physical
@@ -74,13 +75,21 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _finite(literal: str):
+    if not np.isfinite(float(literal)):
+        raise ConfigError(f"config number {literal} is not finite")
+    return int(literal) if literal.lstrip("-").isdigit() else float(literal)
+
+
 def load_config(path) -> Dict:
+    """The JSON object at path with its sha256; every number is finite."""
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_float=_finite, parse_int=_finite,
+                         parse_constant=_finite)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
@@ -121,8 +130,7 @@ def _channels_from(cfg: Dict) -> List[LindbladChannel]:
     out = []
     for item in cfg.get("channels", []):
         if isinstance(item, str):
-            out.append(make_channel(item))
-            continue
+            item = {"symbol": item}
         if not isinstance(item, dict):
             raise ConfigError(f"channel entry {item!r} not understood")
         coupling = float(item.get("coupling", 1.0))
@@ -233,10 +241,8 @@ def run_build_wigner(cfg: Dict, out: Path) -> List[str]:
     grid = cfg.get("grid")
     if not (isinstance(grid, dict) and "p" in grid and "q" in grid):
         raise ConfigError('config key "grid" needs "p" and "q" ranges')
-    lo, hi, n = grid["p"]
-    ps = np.linspace(float(lo), float(hi), int(n))
-    lo, hi, n = grid["q"]
-    qs = np.linspace(float(lo), float(hi), int(n))
+    ps, qs = (np.linspace(float(lo), float(hi), int(n))
+              for lo, hi, n in (grid["p"], grid["q"]))
 
     result = eval_grid(state, ps, qs)
     result.write_csv(out / "wigner.csv")
@@ -354,7 +360,7 @@ def run_oracle_compare(cfg: Dict, out: Path) -> List[str]:
                           f"known: {sorted(ALL_CHECKS)}")
     results = run_checks(names, params)
     _write_json(out / "compare.json", {
-        "results": [r.as_dict() for r in results],
+        "results": [vars(r) for r in results],
         "all_passed": all(r.passed for r in results),
     })
     manifest = _write_manifest(
@@ -380,9 +386,7 @@ def run_star_check(cfg: Dict, out: Path) -> List[str]:
       plane_wave_phase       e^{iaq} * e^{ibp} picks up e^{-i hbar ab / 2}
       poisson_limit          (A*B - B*A)/(i hbar) -> {A, B} + O(hbar^2)
     """
-    hbar = float(cfg.get("hbar", 0.05))
-    if hbar <= 0:
-        raise ConfigError("hbar must be positive")
+    hbar = _hbar_from({"hbar": 0.05, **cfg})
     n = int(cfg.get("grid_n", 128))
     rows = []
 

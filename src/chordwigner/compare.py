@@ -13,10 +13,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .flow import make_system
-from .lindblad import (
-    hermitian_decay_rate,
-    position_channel,
-)
+from .lindblad import hermitian_decay_rate, position_channel
 from .normalization import direct_trace, purity_decay
 from .oracle import (
     TruncatedState,
@@ -33,6 +30,18 @@ from .shells import _MASLOV, Chord, _search_chords, build_shell, named_shell
 from .wigner import SemiclassicalState, _terms
 
 
+# acceptance targets, fixed so that a caller cannot regrade a result
+_CAT_RATE_TOL = 0.01
+_EIGEN_TOL = 0.10            # pointwise |delta W| over the peak
+_MASLOV_TOL = 0.10           # fitted offset error, rad
+_CAUSTIC_FRACTION = 0.04     # |wedge| floor of compared points / speed
+_TRACE_TOL = 0.10
+_DIFFUSION_TOL = 0.15
+_PURITY_TOL = 0.10
+_LOG_TOL_FLOOR = 0.10        # off-diagonal log-ratio tolerance: the floor
+_LOG_FRACTION = 0.15         # or this fraction of |log ratio|
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -43,20 +52,9 @@ class CheckResult:
     passed: bool
     detail: Dict = field(default_factory=dict)
 
-    def as_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "semiclassical": self.semiclassical,
-            "oracle": self.oracle,
-            "delta": self.delta,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
-
-def check_cat_rate(hbar: float = 0.05, separation: float = 2.0,
-                   tolerance: float = 0.01) -> CheckResult:
+def check_cat_rate(hbar: float = 0.05, separation: float = 2.0
+                   ) -> CheckResult:
     """Static cat coherence: oracle decay rate vs (Delta q)^2 / 2 hbar."""
     a = 0.5 * separation
     chord = Chord.from_tips((0.0, a), (0.0, -a))
@@ -80,15 +78,14 @@ def check_cat_rate(hbar: float = 0.05, separation: float = 2.0,
     delta = abs(oracle_rate / semi_snapped - 1.0)
     return CheckResult(
         name="cat_rate", semiclassical=float(semi), oracle=oracle_rate,
-        delta=delta, tolerance=tolerance, passed=bool(delta < tolerance),
+        delta=delta, tolerance=_CAT_RATE_TOL,
+        passed=bool(delta < _CAT_RATE_TOL),
         detail={"separation": separation, "hbar": hbar,
                 "snapped_rate": semi_snapped})
 
 
-def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
-                            tolerance: float = 0.10,
-                            maslov_tol: float = 0.10,
-                            caustic_fraction: float = 0.04) -> CheckResult:
+def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0
+                            ) -> CheckResult:
     """Chord-sum Wigner function vs the exact eigenstate's transform.
 
     Pointwise deltas are normalized to the peak oscillation amplitude
@@ -104,7 +101,7 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
     wg = wigner_of_state(basis.psis[n_level], basis.qs, hbar)
 
     r = np.sqrt(2.0 * shell.energy)
-    wedge_floor = caustic_fraction * shell.speed_scale
+    wedge_floor = _CAUSTIC_FRACTION * shell.speed_scale
     cells = [(s, k) for s in range(0, len(wg.q_centres), 24)
              for k in range(0, len(wg.ps), 16)
              if 0.15 * r <= np.hypot(wg.ps[k], wg.q_centres[s]) <= 0.82 * r]
@@ -134,17 +131,17 @@ def check_eigenstate_wigner(n_level: int = 10, hbar: float = 1.0,
     peak = float(np.max(np.abs(ref)))
     delta = float(np.max(np.abs(w_sc - ref)) / peak)
     maslov_err = abs(phi_star)
-    passed = bool(delta < tolerance and maslov_err < maslov_tol)
+    passed = bool(delta < _EIGEN_TOL and maslov_err < _MASLOV_TOL)
     return CheckResult(
         name="eigenstate_wigner", semiclassical=float(np.max(np.abs(w_sc))),
-        oracle=peak, delta=delta, tolerance=tolerance, passed=passed,
+        oracle=peak, delta=delta, tolerance=_EIGEN_TOL, passed=passed,
         detail={"n_level": n_level, "hbar": hbar, "n_points": len(ref),
                 "fitted_maslov": _MASLOV + phi_star,
                 "maslov_error": maslov_err,
-                "maslov_tolerance": maslov_tol})
+                "maslov_tolerance": _MASLOV_TOL})
 
 
-def check_trace_factor(tolerance: float = 0.10) -> CheckResult:
+def check_trace_factor() -> CheckResult:
     """Direct-trace limit vs the fold count 1/sqrt(3).
 
     Near coinciding tips, at angle separation u, |wedge| ~ a|u| and the
@@ -168,16 +165,16 @@ def check_trace_factor(tolerance: float = 0.10) -> CheckResult:
     delta = abs(extrapolated - target) / target
     return CheckResult(
         name="trace_factor", semiclassical=float(extrapolated),
-        oracle=float(target), delta=float(delta), tolerance=tolerance,
-        passed=bool(delta < tolerance and stability < 0.05),
+        oracle=float(target), delta=float(delta), tolerance=_TRACE_TOL,
+        passed=bool(delta < _TRACE_TOL and stability < 0.05),
         detail={"values": {f"{h:g}": v for h, v in vals.items()},
                 "stability": float(stability),
                 "berry_constant": float(np.sqrt(2.0 / 3.0))})
 
 
 def check_diffusion_slope(hbar: float = 0.05, energy: float = 0.5,
-                          epsilon0: float = 0.1, t_final: float = 2.0,
-                          tolerance: float = 0.15) -> CheckResult:
+                          epsilon0: float = 0.1, t_final: float = 2.0
+                          ) -> CheckResult:
     """Oracle Var(E) growth vs the slope of window_width's eps(t)^2.
 
     The predicted slope is read off the predictor itself, so the check
@@ -208,14 +205,25 @@ def check_diffusion_slope(hbar: float = 0.05, energy: float = 0.5,
     delta = abs(slope - predicted) / predicted
     return CheckResult(
         name="diffusion_slope", semiclassical=float(predicted), oracle=slope,
-        delta=float(delta), tolerance=tolerance,
-        passed=bool(delta < tolerance),
+        delta=float(delta), tolerance=_DIFFUSION_TOL,
+        passed=bool(delta < _DIFFUSION_TOL),
         detail={"hbar": hbar, "bracket_rate": float(rate),
                 "slope_ratio": slope / predicted,
                 "var_first": float(var[0]), "var_last": float(var[-1])})
 
 
-def check_purity_decay(hbar: float = 0.05, tolerance: float = 0.10,
+def _decohering_level(n_level: int, count: int, hbar: float, times):
+    """Oracle states at 0 and at each of times: level n_level of a
+    count-level harmonic ladder under L = q."""
+    energies, q_mat, _ = harmonic_ladder(count, hbar)
+    rho0 = np.zeros((count, count), dtype=complex)
+    rho0[n_level, n_level] = 1.0
+    state = TruncatedState(rho=rho0, energies=energies, hbar=hbar)
+    return lindblad_integrate(state, energies, [q_mat],
+                              np.concatenate([[0.0], times]))[0]
+
+
+def check_purity_decay(hbar: float = 0.05,
                        times: Optional[Sequence[float]] = None
                        ) -> CheckResult:
     """Angle-pair purity decay vs oracle tr rho^2 while purity > 0.5."""
@@ -226,13 +234,8 @@ def check_purity_decay(hbar: float = 0.05, tolerance: float = 0.10,
         t_half = 0.7 * hbar / (2.0 * shell.energy)  # crude 0.5-crossing scale
         times = np.linspace(0.0, 3.0 * t_half, 7)[1:]
 
-    count = n_level + 1 + max(12, n_level // 2)
-    energies, q_mat, _ = harmonic_ladder(count, hbar)
-    rho0 = np.zeros((count, count), dtype=complex)
-    rho0[n_level, n_level] = 1.0
-    state = TruncatedState(rho=rho0, energies=energies, hbar=hbar)
-    states, _ = lindblad_integrate(state, energies, [q_mat],
-                                   np.concatenate([[0.0], times]))
+    states = _decohering_level(n_level, n_level + 1 + max(12, n_level // 2),
+                               hbar, times)
 
     deltas, rows = [], []
     for tv, st in zip(times, states[1:]):
@@ -244,17 +247,16 @@ def check_purity_decay(hbar: float = 0.05, tolerance: float = 0.10,
         deltas.append(abs(p_sc - p_or) / p_or)
         rows.append({"t": float(tv), "semiclassical": p_sc, "oracle": p_or})
     worst = float(max(deltas)) if deltas else float("nan")
-    passed = bool(deltas) and worst < tolerance
+    passed = bool(deltas) and worst < _PURITY_TOL
     return CheckResult(
-        name="purity_decay", delta=worst, tolerance=tolerance, passed=passed,
+        name="purity_decay", delta=worst, tolerance=_PURITY_TOL, passed=passed,
         semiclassical=rows[-1]["semiclassical"] if rows else float("nan"),
         oracle=rows[-1]["oracle"] if rows else float("nan"),
         detail={"hbar": hbar, "n_level": n_level, "exponent": "hbar",
                 "rows": rows})
 
 
-def check_off_diagonal(hbar: float = 0.05, tolerance_floor: float = 0.10,
-                       log_fraction: float = 0.15) -> CheckResult:
+def check_off_diagonal(hbar: float = 0.05) -> CheckResult:
     """Damped element ratio vs oracle, dynamics on, log scale.
 
     Probes are interference antinodes of the initial element; times are
@@ -271,13 +273,8 @@ def check_off_diagonal(hbar: float = 0.05, tolerance_floor: float = 0.10,
     # the dissipator spreads population far up the ladder over half a
     # period; the buffer is sized so the truncation-leak guard stays quiet
     count = n_level + 1 + max(70, 7 * n_level)
-    energies, q_mat, _ = harmonic_ladder(count, hbar)
-    rho0 = np.zeros((count, count), dtype=complex)
-    rho0[n_level, n_level] = 1.0
-    state = TruncatedState(rho=rho0, energies=energies, hbar=hbar)
     times = [period / 32, period / 16, period / 8, period / 4, period / 2]
-    states, _ = lindblad_integrate(state, energies, [q_mat],
-                                   np.concatenate([[0.0], times]))
+    states = _decohering_level(n_level, count, hbar, times)
 
     # antinode probe pairs on a coarse grid inside the allowed region
     r = np.sqrt(2.0 * shell.energy)
@@ -293,9 +290,7 @@ def check_off_diagonal(hbar: float = 0.05, tolerance_floor: float = 0.10,
         qp, qm = float(grid[i]), float(grid[j])
         if mag[i, j] < 2.0 * median or abs(qp - qm) < 0.3:
             continue
-        if any(b.turning for b in wkb_branches(qp, shell)):
-            continue
-        if any(b.turning for b in wkb_branches(qm, shell)):
+        if any(b.turning for q in (qp, qm) for b in wkb_branches(q, shell)):
             continue
         probes.append((qp, qm))
         if len(probes) == 3:
@@ -316,13 +311,12 @@ def check_off_diagonal(hbar: float = 0.05, tolerance_floor: float = 0.10,
                 continue
             r_or = abs(psi_p[qp] @ st.rho @ psi_p[qm]) / o0
             log_or = float(np.log(r_or))
-            tol = max(log_fraction * abs(log_sc), tolerance_floor)
+            tol = max(_LOG_FRACTION * abs(log_sc), _LOG_TOL_FLOOR)
             deltas.append((abs(log_sc - log_or), tol))
             rows.append({"q_plus": qp, "q_minus": qm, "t": float(tv),
                          "log_ratio_sc": log_sc, "log_ratio_oracle": log_or,
                          "tolerance": tol})
-    passed = (len(deltas) >= 3
-              and all(d <= tol for d, tol in deltas))
+    passed = len(deltas) >= 3 and all(d <= tol for d, tol in deltas)
     worst = max((d / tol for d, tol in deltas), default=float("nan"))
     return CheckResult(
         name="off_diagonal",

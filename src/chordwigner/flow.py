@@ -157,8 +157,9 @@ def _tip_flow(system, x0, t: float):
     """Dense solution of one DOP853 integration of the batch x0 (..., 2)
     over [0, t], at the closed-orbit settings (rtol = atol = _ORBIT_TOL).
 
-    Returns a callable mapping times (m,) in [0, t] to points (m, ..., 2).
-    Raises RuntimeError when the solver fails.
+    Returns a callable mapping times (m,) in [0, t] to points (m, ..., 2),
+    and the solver's step times, between which the callable is one
+    degree-7 polynomial.  Raises RuntimeError when the solver fails.
     """
     from scipy.integrate import solve_ivp
 
@@ -171,8 +172,8 @@ def _tip_flow(system, x0, t: float):
         atol=_ORBIT_TOL, dense_output=True)
     if sol.status == -1:
         raise RuntimeError(f"tip flow to t={t} failed: {sol.message}")
-    return lambda s: sol.sol(np.asarray(s, dtype=float)).T.reshape(
-        -1, *x0.shape)
+    return (lambda s: sol.sol(np.asarray(s, dtype=float)).T.reshape(
+        -1, *x0.shape)), sol.t
 
 
 def hamiltonian_flow(system, x0, t: float, dt: float = 1e-3,
@@ -185,7 +186,7 @@ def hamiltonian_flow(system, x0, t: float, dt: float = 1e-3,
     """
     n = max(1, int(np.ceil(t / dt * (1.0 - 1e-12)))) if dense else 1
     times = np.linspace(0.0, t, n + 1)
-    return Trajectory(times=times, points=_tip_flow(system, x0, t)(times))
+    return Trajectory(times=times, points=_tip_flow(system, x0, t)[0](times))
 
 
 def _closed_orbit(system, x0, t_max: float = 400.0, dense: bool = False):

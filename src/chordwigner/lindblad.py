@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .flow import HamiltonianSystem, _ORBIT_TOL, _poly_eval, _tip_flow
 from .shells import _MASLOV, Chord, ShellSpec, chord_amplitude
@@ -73,18 +72,12 @@ def _require_hermitian(channels: Sequence[LindbladChannel]) -> None:
 
 @dataclass
 class DecoherenceRecord:
-    """D_t and the integrand samples behind it."""
+    """D_t^2 at time t and the two tips there."""
 
     t: float
     d2: float
-    times: np.ndarray          # quadrature grid
-    integrand: np.ndarray      # sum_j |L_j(x+) - L_j(x-)|^2 at each time
-    traj_plus: np.ndarray      # (n, 2) tip trajectories
-    traj_minus: np.ndarray
-
-    @property
-    def distance(self) -> float:
-        return float(np.sqrt(max(self.d2, 0.0)))
+    x_plus: np.ndarray
+    x_minus: np.ndarray
 
 
 @dataclass
@@ -191,23 +184,34 @@ def shell_d2(shell: ShellSpec, theta_a, theta_b, t: float,
     return d2
 
 
-def _record(flow: Callable, channels: Sequence[LindbladChannel],
-            t: float) -> DecoherenceRecord:
-    """D_t on [0, t] read off a dense flow of the (x+, x-) tip pair:
-    composite Simpson on equal intervals, one per 1e-3, at least 64 and
-    an even count.  At t = 0 the grid is the single node 0, where the
-    integrand is sampled and D^2 is 0."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n_steps = max(64, int(np.ceil(t / 1e-3)))
-    n_steps += n_steps % 2
-    times = np.linspace(0.0, t, n_steps + 1) if t > 0 else np.zeros(1)
-    tips = flow(times)
-    tp, tm = tips[:, 0], tips[:, 1]
-    g = _d2_integrand(channels, tp, tm)
-    d2 = float(simpson(g, x=times)) if t > 0 else 0.0
-    return DecoherenceRecord(t=t, d2=d2, times=times, integrand=g,
-                             traj_plus=tp, traj_minus=tm)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _tip_pair_records(system: HamiltonianSystem, x_plus0, x_minus0,
+                      channels: Sequence[LindbladChannel],
+                      times) -> List[DecoherenceRecord]:
+    """D_t^2 and the tips at each of times (any order, repeats allowed),
+    in input order, from one dense flow of the tip pair to max(times).
+    The solver's steps and the times cut [0, max(times)] into pieces on
+    which DOP853's dense output is a degree-7 polynomial; 8 Gauss-Legendre
+    nodes per piece are exact to degree 15, above the 14 of a channel
+    linear in (p, q), and a running sum gives D^2 at every time."""
+    _require_hermitian(channels)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("times must be finite and nonnegative")
+    flow, steps = _tip_flow(system, np.stack([x_plus0, x_minus0]),
+                            times.max(initial=0.0))
+    edges = np.union1d(steps, times)
+    half = np.diff(edges) / 2
+    nodes = (edges[:-1] + half)[:, None] + np.multiply.outer(half, _GL_NODES)
+    tips = flow(np.concatenate([edges, nodes.ravel()]))
+    g = _d2_integrand(channels, tips[edges.size:, 0], tips[edges.size:, 1])
+    d2 = np.cumsum(np.r_[0.0, half * (g.reshape(nodes.shape) @ _GL_WEIGHTS)])
+    at = np.searchsorted(edges, times)
+    return [DecoherenceRecord(t=t, d2=d, x_plus=xp, x_minus=xm)
+            for t, d, (xp, xm) in zip(times.tolist(), d2[at].tolist(),
+                                      tips[at])]
 
 
 def _evolved(chord0: Chord, system: HamiltonianSystem, rec: DecoherenceRecord,
@@ -217,8 +221,8 @@ def _evolved(chord0: Chord, system: HamiltonianSystem, rec: DecoherenceRecord,
     dh = float(system.energy(chord0.x_plus) - system.energy(chord0.x_minus))
     s_t = chord0.action - dh * rec.t
     damping = float(np.exp(-rec.d2 / (2.0 * hbar)))
-    base = replace(chord0, x_plus=rec.traj_plus[-1].copy(),
-                   x_minus=rec.traj_minus[-1].copy(), action=s_t)
+    base = replace(chord0, x_plus=rec.x_plus, x_minus=rec.x_minus,
+                   action=s_t)
     return EvolvedChord(base=base, damping=damping, s_t=s_t, record=rec)
 
 
@@ -226,12 +230,10 @@ def decoherence_distance(x_plus0, x_minus0, system: HamiltonianSystem,
                          channels: Sequence[LindbladChannel],
                          t: float) -> DecoherenceRecord:
     """D_t from the two tip trajectories: one adaptive dense flow of the
-    pair, sampled on the composite-Simpson grid of _record.  For tips on
-    a shell of this system, shell_d2 gives the same number from the
-    shell's Fourier modes."""
-    _require_hermitian(channels)
-    flow = _tip_flow(system, np.stack([x_plus0, x_minus0]), t)
-    return _record(flow, channels, t)
+    pair, integrated on the solver's own steps (_tip_pair_records).  For
+    tips on a shell of this system, shell_d2 gives the same number from
+    the shell's Fourier modes."""
+    return _tip_pair_records(system, x_plus0, x_minus0, channels, [t])[0]
 
 
 def evolve_contribution(chord0: Chord, system: HamiltonianSystem,
@@ -264,14 +266,11 @@ def trotter_evolve(chord0: Chord, system: HamiltonianSystem,
     _require_hermitian(channels)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    times = np.linspace(0.0, t, n_steps + 1)
-    tips = _tip_flow(system, np.stack([chord0.x_plus, chord0.x_minus]),
-                     t)(times)
-    tp, tm = tips[:, 0], tips[:, 1]
-    g = _d2_integrand(channels, tp, tm)
-    rec = DecoherenceRecord(t=t, d2=float(t / n_steps * np.sum(g[1:])),
-                            times=times, integrand=g, traj_plus=tp,
-                            traj_minus=tm)
+    flow = _tip_flow(system, np.stack([chord0.x_plus, chord0.x_minus]), t)[0]
+    tips = flow(np.linspace(0.0, t, n_steps + 1)[1:])
+    g = _d2_integrand(channels, tips[:, 0], tips[:, 1])
+    rec = DecoherenceRecord(t=t, d2=float(t / n_steps * np.sum(g)),
+                            x_plus=tips[-1, 0], x_minus=tips[-1, 1])
     return _evolved(chord0, system, rec, hbar)
 
 
@@ -279,14 +278,11 @@ def evolution_trace(chord0: Chord, system: HamiltonianSystem,
                     channels: Sequence[LindbladChannel],
                     times: Sequence[float], hbar: float) -> List[Tuple[float,
                                                                        EvolvedChord]]:
-    """evolve_contribution at each time, every record read off one dense
-    flow of the tips to max(times) on the grid a separate call uses."""
-    _require_hermitian(channels)
-    times = [float(t) for t in times]
-    flow = _tip_flow(system, np.stack([chord0.x_plus, chord0.x_minus]),
-                     max(times, default=0.0))
-    return [(t, _evolved(chord0, system, _record(flow, channels, t), hbar))
-            for t in times]
+    """evolve_contribution at each time, in input order, every record read
+    off one dense flow of the tips to max(times)."""
+    return [(rec.t, _evolved(chord0, system, rec, hbar))
+            for rec in _tip_pair_records(system, chord0.x_plus,
+                                         chord0.x_minus, channels, times)]
 
 
 def write_trace(path, rows: Sequence[Tuple[float, EvolvedChord]]) -> None:
@@ -298,4 +294,4 @@ def write_trace(path, rows: Sequence[Tuple[float, EvolvedChord]]) -> None:
         for t, ev in rows:
             w.writerow([f"{v:.12g}" for v in (
                 t, *ev.base.x_plus, *ev.base.x_minus, ev.s_t,
-                ev.record.distance, ev.damping)])
+                np.sqrt(ev.record.d2), ev.damping)])

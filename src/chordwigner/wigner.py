@@ -57,8 +57,8 @@ class SemiclassicalState:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
         if not 0 <= self.epsilon < np.inf:
             raise ValueError("window width must be finite and nonnegative")
 

@@ -187,6 +187,23 @@ def test_oracle_compare_purity_decay_with_no_comparable_time(tmp_path):
                for k in ("semiclassical", "oracle", "delta"))
 
 
+@pytest.mark.parametrize("check, key", [
+    ("cat_rate", "tolerance"), ("eigenstate_wigner", "tolerance"),
+    ("eigenstate_wigner", "maslov_tol"),
+    ("eigenstate_wigner", "caustic_fraction"),
+    ("trace_factor", "tolerance"), ("diffusion_slope", "tolerance"),
+    ("purity_decay", "tolerance"), ("off_diagonal", "tolerance_floor"),
+    ("off_diagonal", "log_fraction")])
+def test_oracle_compare_rejects_a_set_target(tmp_path, check, key):
+    # acceptance targets are fixed: a config that loosens or tightens one
+    # would grade the same result differently
+    cfg = write_cfg(tmp_path / "c.json", {
+        "checks": [check], "params": {check: {key: 0.0}}})
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "compare.json").exists()
+
+
 def test_oracle_compare_rejects_unknown_check(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", {"checks": ["nonesuch"]})
     assert main(["oracle-compare", "--config", cfg,
@@ -233,15 +250,56 @@ def test_config_errors_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf")])
-def test_build_wigner_rejects_bad_epsilon(tmp_path, epsilon):
-    # a window width that is negative or not finite is a config error,
-    # never a pure state
-    cfg = write_cfg(tmp_path / "e.json", dict(
-        WIG_CFG, shell={"energy": 0.5, "epsilon": epsilon}))
+GOOD_CFG = {
+    "build-wigner": dict(WIG_CFG, shell={"energy": 0.5, "epsilon": 0.02}),
+    "evolve": {"system": "harmonic", "hbar": 0.05, "channels": ["q"],
+               "x_plus": [0.0, 0.6], "x_minus": [0.0, -0.6],
+               "times": [0.0, 0.5]},
+    "project": {"system": "harmonic", "hbar": 0.05, "shell": {"energy": 0.5},
+                "channels": ["q"], "t": 0.3, "pairs": [[0.2, -0.3]]},
+    "diffusion": {"system": "harmonic", "hbar": 0.05, "energy": 0.5,
+                  "epsilon0": 0.1, "channels": ["q"], "times": [0.0, 1.0]},
+    "normalize": {"system": "harmonic", "hbar": 0.05,
+                  "shell": {"energy": 0.5}, "channels": ["q"],
+                  "decay_times": [0.1], "n_angle": 16},
+}
+BAD_NUMBERS = [
+    ("build-wigner", "shell.epsilon", "-0.1"),
+    ("build-wigner", "shell.epsilon", "NaN"),
+    ("build-wigner", "shell.epsilon", "Infinity"),
+    ("build-wigner", "hbar", "NaN"),
+    ("build-wigner", "hbar", "1e400"),
+    ("build-wigner", "hbar", "1" + "0" * 400),
+    ("evolve", "times", "[0, NaN]"),
+    ("evolve", "hbar", "-Infinity"),
+    ("project", "t", "NaN"),
+    ("diffusion", "epsilon0", "NaN"),
+    ("normalize", "hbar", "Infinity"),
+    ("normalize", "decay_times", "[NaN]"),
+]
+
+
+@pytest.mark.parametrize("command, key, literal", BAD_NUMBERS,
+                         ids=[f"{c}:{k}={v.strip('[]').replace(' ', '')}"
+                              if len(v) < 12 else f"{c}:{k}=10**400"
+                              for c, k, v in BAD_NUMBERS])
+def test_bad_config_number_exits_2(tmp_path, command, key, literal):
+    # a negative window width, or a number that is not finite (a float
+    # or integer literal that overflows included), is a config error,
+    # never a result built on it; the same config with its good value runs
+    cfg = json.loads(json.dumps(GOOD_CFG[command]))
+    good = write_cfg(tmp_path / "good.json", cfg)
+    assert main([command, "--config", good, "--out", str(tmp_path)]) == 0
+    *path, last = key.split(".")
+    node = cfg
+    for part in path:
+        node = node[part]
+    node[last] = "BAD"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg).replace('"BAD"', literal))
     out = tmp_path / "out"
-    assert main(["build-wigner", "--config", cfg, "--out", str(out)]) == 2
-    assert not (out / "build-wigner_manifest.json").exists()
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+    assert not (out / f"{command}_manifest.json").exists()
 
 
 def test_build_wigner_needs_exactly_one_shell_key(tmp_path):

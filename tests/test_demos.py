@@ -1,5 +1,5 @@
-"""Every demo runs, and each committed CSV under demos/demo_out/ is what
-its demo writes now.
+"""Every demo and README's quick start runs, and each committed CSV under
+demos/demo_out/ is what its demo writes now.
 
 The demos run from copies in a temporary directory, so they write their
 demo_out/ there and the committed files are only read.
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 WRITES = {
     "02_wigner_interference.py": "wigner_grid.csv",
     "03_cat_decoherence.py": "cat_trace.csv",
@@ -38,3 +39,11 @@ def test_demo_csv_matches_committed(tmp_path, demo):
             == (DEMOS / "demo_out" / name).read_bytes()), (
         f"{demo} now writes a different {name}: rerun it, commit "
         f"demos/demo_out/{name} and name the cause of each moved row")
+
+
+def test_readme_quick_start_runs():
+    # the quick start is the public surface README promises
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})

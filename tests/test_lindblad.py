@@ -30,7 +30,7 @@ from chordwigner.lindblad import (
     trotter_evolve,
     write_trace,
 )
-from chordwigner.flow import NumericalError
+from chordwigner.flow import NumericalError, _tip_flow
 from chordwigner.shells import Chord, build_shell, chord_amplitude, find_chords
 from chordwigner.wigner import eval_state, pure_state
 
@@ -149,23 +149,11 @@ def test_distance_trivial_cases():
     qchan = position_channel()
     const = polynomial_channel({(0, 0): 3.0})
     rec = decoherence_distance((0.2, 0.1), (0.2, 0.1), harmonic, [qchan], 1.0)
-    assert rec.distance < 1e-12
+    assert rec.d2 < 1e-24
     rec = decoherence_distance((0.5, 0.3), (-0.2, 0.1), harmonic, [const], 1.0)
-    assert rec.distance == 0.0
+    assert rec.d2 == 0.0
     rec = decoherence_distance((0.5, 0.3), (-0.2, 0.1), harmonic, [qchan], 0.0)
     assert rec.t == 0.0 and rec.d2 == 0.0
-
-
-def test_distance_zero_time_samples_the_integrand():
-    # at t = 0 the one-node record still holds |L(x+) - L(x-)|^2, the
-    # first node of any t > 0 record
-    qchan = position_channel()
-    tips = ((0.5, 0.3), (-0.2, 0.1), harmonic, [qchan])
-    rec0 = decoherence_distance(*tips, 0.0)
-    rec1 = decoherence_distance(*tips, 1e-9)
-    assert rec0.d2 == 0.0
-    assert_allclose(rec0.integrand, [0.04], rtol=1e-12)
-    assert_allclose(rec0.integrand, rec1.integrand[:1], rtol=1e-12)
 
 
 def test_distance_harmonic_closed_form():
@@ -183,24 +171,40 @@ def test_distance_additivity():
                                  quartic, [qchan], t1 + t2)
     first = decoherence_distance((0.8660254, 0.5), (-0.8660254, 0.5),
                                  quartic, [qchan], t1)
-    second = decoherence_distance(first.traj_plus[-1], first.traj_minus[-1],
+    second = decoherence_distance(first.x_plus, first.x_minus,
                                   quartic, [qchan], t2)
     assert_allclose(first.d2 + second.d2, whole.d2, atol=1e-8)
 
 
 @pytest.mark.parametrize("t", [17.054, 17.403])
 def test_distance_long_time_step_count(t):
-    # above 2^14 steps an absolute 1e-12 guard on t/dt is below half an
-    # ulp, so ceil(t/dt) could take one step more than the grid Simpson
-    # ran on (17.054 broke that way; 17.403 rounds to an exact integer)
+    # a flow over nearly three periods keeps the closed form to the
+    # flow's own tolerance
     xp, xm = np.array([0.5, 0.3]), np.array([-0.2, 0.1])
     rec = decoherence_distance(xp, xm, harmonic, [position_channel()], t)
-    n = int(np.ceil(t / 1e-3))
-    assert len(rec.times) == len(rec.integrand) == n + n % 2 + 1
     dp, dq = xp - xm
     closed = (dq**2 * (t / 2 + np.sin(2 * t) / 4)
               + dp**2 * (t / 2 - np.sin(2 * t) / 4) + dq * dp * np.sin(t) ** 2)
-    assert_allclose(rec.d2, closed, rtol=1e-6)
+    assert_allclose(rec.d2, closed, rtol=1e-10)
+
+
+@pytest.mark.parametrize("system", [quartic, make_system("pendulum")],
+                         ids=lambda s: s.name)
+def test_distance_integrates_the_dense_flow_exactly(system):
+    # on each solver step |q+ - q-|^2 is a polynomial of degree 14, so
+    # cutting every step in 8 before the same 8-node rule changes D^2
+    # by roundoff only
+    xp, xm = np.array([0.3, 0.6]), np.array([-0.4, -0.2])
+    t = 4.0
+    rec = decoherence_distance(xp, xm, system, [position_channel()], t)
+    flow, steps = _tip_flow(system, np.stack([xp, xm]), t)
+    edges = np.interp(np.arange(8 * steps.size - 7) / 8,
+                      np.arange(steps.size), steps)
+    x, w = np.polynomial.legendre.leggauss(8)
+    half = np.diff(edges)[:, None] / 2
+    tips = flow((edges[:-1, None] + half + half * x).ravel())
+    dq = (tips[:, 0, 1] - tips[:, 1, 1]).reshape(half.size, 8)
+    assert_allclose(rec.d2, np.sum(half * w * dq**2), rtol=1e-14)
 
 
 def _shell_family(kind, c):
@@ -217,6 +221,61 @@ def _shell_family(kind, c):
 
 SHELL_CHANNELS = {"q": position_channel(), "p": momentum_channel(),
                   "q2": polynomial_channel({(0, 2): 1.0})}
+
+
+def _rotation_modes(c, x, channel):
+    """{m: a_m} with L = sum a_m e^{imcs} along the flow of
+    H = p^2/2 + c^2 q^2/2 from x: q(s) = Re z e^{ics}, z = q - ip/c, and
+    p(s) = Re w e^{ics}, w = p + icq."""
+    z, w = x[1] - 1j * x[0] / c, x[0] + 1j * c * x[1]
+    return {"q": {1: z / 2, -1: np.conj(z) / 2},
+            "p": {1: w / 2, -1: np.conj(w) / 2},
+            "q2": {2: z * z / 4, 0: abs(z) ** 2 / 2,
+                   -2: np.conj(z) ** 2 / 4}}[channel]
+
+
+def _rotation_d2(c, x_plus, x_minus, t, channel):
+    """D_t^2 in closed form: the channel difference is sum d_m e^{imcs},
+    and int_0^t e^{iks} ds = t e^{ikt/2} sinc(kt / 2 pi)."""
+    mp = _rotation_modes(c, x_plus, channel)
+    mm = _rotation_modes(c, x_minus, channel)
+    d = {m: mp[m] - mm[m] for m in mp}
+    return sum(dm * np.conj(dn) * t * np.exp(0.5j * (m - n) * c * t)
+               * np.sinc((m - n) * c * t / (2 * np.pi))
+               for m, dm in d.items() for n, dn in d.items()).real
+
+
+TIP = st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(c=st.floats(0.5, 3.0), x_plus=TIP, x_minus=TIP,
+       times=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6),
+       channel=st.sampled_from(sorted(SHELL_CHANNELS)))
+def test_trace_matches_the_exact_rotation(c, x_plus, x_minus, times,
+                                          channel):
+    # a 0 and a repeat among unsorted times: records come back in input
+    # order, D^2 is exactly 0 at t = 0 and never decreases with t, and
+    # each value is the closed form of the rotation to the flow's rtol,
+    # or to a floor of 1e-13 t max L^2 where the difference cancels
+    system = _shell_family("oscillator", c)
+    chord = bare_chord(x_plus, x_minus, action=0.3)
+    chans = [SHELL_CHANNELS[channel]]
+    times = [*times, 0.0, times[0]]
+    rows = evolution_trace(chord, system, chans, times, 0.05)
+    assert [t for t, _ in rows] == times
+    zero = rows[-2][1]
+    assert zero.record.d2 == 0.0
+    assert np.array_equal(zero.base.x_plus, chord.x_plus)
+    assert rows[-1][1].record.d2 == rows[0][1].record.d2
+    d2 = [ev.record.d2 for _, ev in sorted(rows, key=lambda r: r[0])]
+    assert np.all(np.diff(d2) >= 0.0)
+    xp, xm = np.array(x_plus), np.array(x_minus)
+    scale = sum(abs(a) for x in (xp, xm)
+                for a in _rotation_modes(c, x, channel).values()) ** 2
+    for t, ev in rows:
+        assert_allclose(ev.record.d2, _rotation_d2(c, xp, xm, t, channel),
+                        rtol=1e-11, atol=1e-13 * t * scale)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -370,7 +429,7 @@ def test_tip_flow_invariants(kind, coupling, radii, angles, fraction, split,
     t1 = split * t
     whole = decoherence_distance(*tips, system, chans, t)
     first = decoherence_distance(*tips, system, chans, t1)
-    second = decoherence_distance(first.traj_plus[-1], first.traj_minus[-1],
+    second = decoherence_distance(first.x_plus, first.x_minus,
                                   system, chans, t - t1)
     assert_allclose(first.d2 + second.d2, whole.d2, rtol=0, atol=1e-8)
     # one traced flow gives the records of separate evolutions
@@ -380,7 +439,6 @@ def test_tip_flow_invariants(kind, coupling, radii, angles, fraction, split,
     for (s, ev), s_ref in zip(rows, times):
         ref = evolve_contribution(chord, system, chans, s_ref, 0.05)
         assert s == s_ref
-        assert len(ev.record.times) == len(ref.record.times)
         assert_allclose(ev.record.d2, ref.record.d2, rtol=1e-10)
         assert_allclose(ev.base.x_plus, ref.base.x_plus, rtol=1e-10,
                         atol=1e-10)
