@@ -22,6 +22,7 @@ from .oracle import (
     harmonic_ladder,
     hermite_psi,
     lindblad_integrate,
+    purity,
     solve_eigenstates,
     wigner_of_state,
 )
@@ -239,7 +240,7 @@ def check_purity_decay(hbar: float = 0.05,
 
     deltas, rows = [], []
     for tv, st in zip(times, states[1:]):
-        p_or = float(np.real(np.trace(st.rho @ st.rho)))
+        p_or = purity(st.rho)
         if p_or <= 0.5:
             continue
         p_sc = purity_decay(shell, system, [position_channel()], float(tv),

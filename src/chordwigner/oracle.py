@@ -98,7 +98,7 @@ def _fgh_hamiltonian(v: np.ndarray, dq: float, hbar: float) -> np.ndarray:
     # T = F^-1 diag(hbar^2 k^2 / 2) F, realised column-by-column via FFT
     tcol = np.fft.ifft(0.5 * hbar**2 * k**2)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    t = tcol[idx].real
+    t = tcol.real[idx]
     h = t + np.diag(v)
     return 0.5 * (h + h.T)
 
@@ -279,7 +279,10 @@ def weyl_transform(rho: DensityGrid, alias_tol: float = 1e-5) -> WignerGrid:
     with p_k = pi hbar ktilde / (n dq).  The row shift floor(s/2) of
     _antidiagonal_index carries e^{2 pi i ktilde floor(s/2)/n}, so only
     odd rows keep a phase.  Exactly invertible; raises on aliasing
-    (significant density at the grid boundary).
+    (significant density at the grid boundary) and on an imaginary
+    residue (a non-hermitian rho).  One complex (2n - 1, n) work array
+    takes the scatter, the FFT, the scale and the phase in place; the
+    fftshifted real part, the output, is the only other full-size array.
     """
     mat = np.asarray(rho.rho, dtype=complex)
     n = mat.shape[0]
@@ -291,31 +294,42 @@ def weyl_transform(rho: DensityGrid, alias_tol: float = 1e-5) -> WignerGrid:
         raise OracleError(
             f"density at grid boundary ({edge/scale:.2e} of max) would alias")
 
-    rows = np.zeros((2 * n - 1, n), dtype=complex)
-    rows.reshape(-1)[_antidiagonal_index(n)] = mat
+    idx = _antidiagonal_index(n)  # freed before the output exists
+    wc = np.zeros((2 * n - 1, n), dtype=complex)
+    wc.reshape(-1)[idx] = mat
+    del idx
     k = np.fft.fftfreq(n, d=1.0 / n)  # signed integers, in FFT order
-    wc = np.fft.fft(rows, axis=1)
+    np.fft.fft(wc, axis=1, out=wc)
     wc *= dq / (np.pi * hbar)
     wc[1::2] *= np.exp(1j * np.pi * k / n)
-    imag = np.max(np.abs(wc.imag))
-    if imag > 1e-10 * max(1.0, np.max(np.abs(wc.real))):
+    w = np.fft.fftshift(wc.real, axes=1)
+    # |Im| goes over the spent real slots, so one contiguous max of the
+    # work array is max |Im|, and the output gives max |Re|
+    np.abs(wc.imag, out=wc.real)
+    imag = wc.view(float).max()
+    if imag > 1e-10 * max(1.0, w.max(), -w.min()):
         raise OracleError(f"Wigner transform imaginary residue {imag:.2e}")
     ps = np.pi * hbar * np.fft.fftshift(k) / (n * dq)
     q_centres = rho.qs[0] + 0.5 * dq * np.arange(2 * n - 1)
-    return WignerGrid(q_centres=q_centres, ps=ps,
-                      w=np.fft.fftshift(wc.real, axes=1), hbar=hbar, dq=dq)
+    return WignerGrid(q_centres=q_centres, ps=ps, w=w, hbar=hbar, dq=dq)
 
 
-def inverse_weyl(wg: WignerGrid, qs: Optional[np.ndarray] = None) -> DensityGrid:
-    """Exact inverse of weyl_transform, on the same row layout."""
+def inverse_weyl(wg: WignerGrid) -> DensityGrid:
+    """Exact inverse of weyl_transform, on the same row layout and on
+    the even centres wg.q_centres[::2].  One complex (2n - 1, n) work
+    array takes the ifftshifted, scaled W, the phase and the inverse FFT
+    in place; one gather reads rho off it.
+    """
     n = len(wg.ps)
-    f = np.fft.ifftshift(wg.w, axes=1) * complex(np.pi * wg.hbar / wg.dq)
+    idx = _antidiagonal_index(n)
+    f = np.zeros((2 * n - 1, n), dtype=complex)
+    c, scale = n // 2, np.pi * wg.hbar / wg.dq
+    np.multiply(wg.w[:, c:], scale, out=f.real[:, :n - c])
+    np.multiply(wg.w[:, :c], scale, out=f.real[:, n - c:])
     f[1::2] *= np.exp(-1j * np.pi * np.fft.fftfreq(n, d=1.0 / n) / n)
-    rows = np.fft.ifft(f, axis=1)
-    mat = rows.reshape(-1)[_antidiagonal_index(n)]
-    if qs is None:
-        qs = wg.q_centres[::2]
-    return DensityGrid(qs=np.asarray(qs), rho=mat, hbar=wg.hbar)
+    np.fft.ifft(f, axis=1, out=f)
+    return DensityGrid(qs=wg.q_centres[::2], rho=f.reshape(-1)[idx],
+                       hbar=wg.hbar)
 
 
 def wigner_of_state(psi: np.ndarray, qs: np.ndarray, hbar: float) -> WignerGrid:
@@ -529,5 +543,6 @@ def energy_variance(rho: np.ndarray, energies) -> float:
 
 
 def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
+    """tr rho^2, as one O(d^2) sum of rho[i, j] rho[j, i]."""
+    return float(np.einsum("ij,ji->", rho, rho).real)
 

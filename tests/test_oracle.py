@@ -1,6 +1,8 @@
 """Quantum-oracle self-checks: eigensolver, Weyl transforms, star
 products, Lindblad integrator.  Everything here is validated against
 closed forms, not against the semiclassical side."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,39 @@ def test_weyl_aliasing_guard():
     rho = np.ones((64, 64), dtype=complex)  # huge boundary density
     with pytest.raises(OracleError):
         weyl_transform(DensityGrid(qs=qs, rho=rho, hbar=0.1))
+
+
+def test_weyl_imaginary_residue_guard():
+    # a non-hermitian rho has no real Wigner function: the transform
+    # must say so instead of returning the real part of a complex W
+    qs, rho = grid_and_mix(seed=3)
+    noise = np.random.default_rng(3).normal(size=rho.shape)
+    with pytest.raises(OracleError, match="imaginary residue"):
+        weyl_transform(DensityGrid(qs=qs, rho=rho + 1e-6j * noise, hbar=0.1),
+                       alias_tol=np.inf)
+
+
+def _traced_peak(fn, arg) -> int:
+    """Peak bytes traced while fn(arg) runs, its output included."""
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weyl_round_trip_memory():
+    # each transform owns one complex (2n - 1, n) work array, its index
+    # and its output: 48 n^2 and 56 n^2 bytes; 60 n^2 leaves room for
+    # small buffers but not for a second full-size complex temporary
+    n, hbar = 512, 0.05
+    qs = np.linspace(-3.0, 3.0, n, endpoint=False)
+    psi = hermite_psi(3, qs, hbar)[3].astype(complex)
+    grid = DensityGrid(qs=qs, rho=np.outer(psi, psi.conj()), hbar=hbar)
+    wg = weyl_transform(grid)
+    assert _traced_peak(weyl_transform, grid) <= 60 * n * n
+    assert _traced_peak(inverse_weyl, wg) <= 60 * n * n
 
 
 def test_cat_state_fringes_and_blocks():
