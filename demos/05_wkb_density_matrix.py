@@ -19,10 +19,11 @@ import numpy as np
 
 from chordwigner import (
     build_shell,
+    density_matrix,
     density_matrix_sc,
     make_system,
-    momentum_rep_element,
     position_channel,
+    swapped_shell,
     wkb_branches,
     write_element_grid,
 )
@@ -64,7 +65,9 @@ print(f"\ndiagonal rho(0.3, 0.3) at t = 0.9: same-branch pair dampings "
 
 # --- momentum representation mirrors position for this symmetric well ------
 
-pe = momentum_rep_element(0.45, -0.35, shell, system, chan, 0.0, hbar)
+sw_shell, sw_chan = swapped_shell(shell, chan)
+pe = density_matrix_sc(0.45, -0.35, sw_shell, sw_shell.system, sw_chan, 0.0,
+                       hbar)
 qe = density_matrix_sc(0.45, -0.35, shell, system, chan, 0.0, hbar)
 print(f"\nmomentum-representation element at the mirrored arguments "
       f"(t = 0): {pe.value:.6f} vs {qe.value:.6f} -- identical, since "
@@ -74,8 +77,8 @@ print(f"\nmomentum-representation element at the mirrored arguments "
 # --- a small element grid for plotting elsewhere ---------------------------
 
 grid_pts = np.linspace(-0.6, 0.6, 7)
-elements = [density_matrix_sc(float(a), float(b), shell, system, chan,
-                              0.3, hbar)
-            for a in grid_pts for b in grid_pts]
+q_plus, q_minus = np.meshgrid(grid_pts, grid_pts, indexing="ij")
+elements = density_matrix(q_plus.ravel(), q_minus.ravel(), shell, chan, 0.3,
+                          hbar)
 write_element_grid(out / "elements.csv", elements)
 print(f"\n7x7 element grid at t = 0.3 -> {out / 'elements.csv'}")

@@ -69,8 +69,9 @@ from .projection import (  # noqa: F401
     DensityMatrixElement,
     TurningPointError,
     WKBBranch,
+    density_matrix,
     density_matrix_sc,
-    momentum_rep_element,
+    swapped_shell,
     wkb_branches,
     write_element_grid,
 )

@@ -57,7 +57,7 @@ from .lindblad import (
 )
 from .normalization import run_suite
 from .oracle import OracleError, moyal_star
-from .projection import density_matrix_sc, swapped_shell, write_element_grid
+from .projection import density_matrix, swapped_shell, write_element_grid
 from .shells import _MASLOV, Chord, named_shell
 from .wigner import SemiclassicalState, eval_grid
 
@@ -187,7 +187,7 @@ def physical_conventions() -> Dict:
         "maslov_offset": _MASLOV,
         "phase_convention": "W = sum_k A_k cos(S_k/hbar - maslov)",
         "window_shape": "gaussian",
-        "element_damping": "exp(-D_t^2 / 2 hbar) per branch pair",
+        "element_damping": "exp(-D_t^2 / 2 hbar) per branch pair, tips' past",
         "purity_exponent": "hbar",
         "purity_damping": "exp(-D_t^2 / hbar) per chord pair",
         "dissipator_scale": "1/hbar",
@@ -291,8 +291,8 @@ def run_project(cfg: Dict, out: Path) -> List[str]:
         raise ConfigError('config key "pairs" must be a nonempty list')
     if rep == "momentum":  # one swapped shell serves every pair
         shell, channels = swapped_shell(shell, channels)
-    elements = [density_matrix_sc(float(a), float(b), shell, shell.system,
-                                  channels, t, hbar) for a, b in pairs]
+    qs = np.array([(float(a), float(b)) for a, b in pairs])
+    elements = density_matrix(qs[:, 0], qs[:, 1], shell, channels, t, hbar)
     write_element_grid(out / "elements.csv", elements)
     manifest = _write_manifest(
         out, "project", cfg, ["elements.csv"],

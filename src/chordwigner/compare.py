@@ -26,7 +26,7 @@ from .oracle import (
     solve_eigenstates,
     wigner_of_state,
 )
-from .projection import density_matrix_sc, wkb_branches
+from .projection import density_matrix, wkb_branches
 from .shells import _MASLOV, Chord, _search_chords, build_shell, named_shell
 from .wigner import SemiclassicalState, _terms
 
@@ -299,13 +299,13 @@ def check_off_diagonal(hbar: float = 0.05) -> CheckResult:
 
     psi_p = {q: hermite_psi(count - 1, np.array([q]), hbar)[:, 0]
              for pair in probes for q in pair}
+    q_plus, q_minus = np.array(probes).reshape(-1, 2).T
+    by_probe = zip(*(density_matrix(q_plus, q_minus, shell, chan, tv, hbar)
+                     for tv in [0.0, *times]))  # one call per time
     rows, deltas = [], []
-    for qp, qm in probes:
-        e0 = density_matrix_sc(qp, qm, shell, system, chan, 0.0, hbar)
+    for (qp, qm), (e0, *e_t) in zip(probes, by_probe):
         o0 = abs(psi_p[qp] @ states[0].rho @ psi_p[qm])
-        for tv, st in zip(times, states[1:]):
-            et = density_matrix_sc(qp, qm, shell, system, chan, float(tv),
-                                   hbar)
+        for tv, st, et in zip(times, states[1:], e_t):
             r_sc = abs(et.value) / abs(e0.value)
             log_sc = float(np.log(r_sc))
             if not (-8.0 <= log_sc <= -0.5):

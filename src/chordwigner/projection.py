@@ -1,6 +1,6 @@
 """Position- and momentum-representation density matrix elements built
 from WKB branch pairs, damped by the decoherence distance of the two
-branch points as they move along the shell."""
+tips as they move along the shell to the branch points."""
 import csv
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -112,39 +112,50 @@ class DensityMatrixElement:
     q_minus: float
     value: complex
     terms: Tuple[BranchPairTerm, ...]
-    flagged: bool           # turning-point branches were excluded
+
+
+def density_matrix(q_plus, q_minus, shell: ShellSpec,
+                   channels: Sequence[LindbladChannel], t: float,
+                   hbar: float) -> List[DensityMatrixElement]:
+    """rho(q_plus[i], q_minus[i]) for each i, in input order: the sum over
+    branch pairs of a+ a- e^{i(phi+ - phi-)} e^{-D_t^2/2hbar}.
+
+    D_t is accumulated by the two tips on their way to the branch points,
+    from the angles theta - 2 pi t/T.  Each distinct q's branches are
+    found once, and one shell_d2 call on one angle array (bitwise
+    symmetric) serves every pair.  Hermitian channels never touch phases.
+    """
+    q_plus, q_minus = (np.asarray(q, dtype=float) for q in (q_plus, q_minus))
+    if q_plus.ndim != 1 or q_plus.shape != q_minus.shape:
+        raise ValueError("q_plus and q_minus must be 1-d and of equal length")
+    qs, idx = np.unique(np.concatenate([q_plus, q_minus]), return_inverse=True)
+    found = [wkb_branches(q, shell) for q in qs.tolist()]
+    if any(br and all(b.turning for b in br) for br in found):
+        raise TurningPointError("a query position sits at a turning point, "
+                                "where the primitive WKB amplitude diverges")
+    start = np.cumsum([0] + [len(br) for br in found]).tolist()
+    theta = (np.array([b.theta for br in found for b in br], dtype=float)
+             - TWO_PI * t / shell.period)
+    d2 = shell_d2(shell, theta, theta, t, channels)
+    terms = [tuple(BranchPairTerm(
+        j_plus=b1.j, j_minus=b2.j, amplitude=b1.amplitude * b2.amplitude,
+        phase=b1.phase(hbar) - b2.phase(hbar),
+        damping=float(np.exp(-d2[a, b] / (2.0 * hbar))))
+        for a, b1 in enumerate(found[i], start[i])
+        for b, b2 in enumerate(found[k], start[k]))
+        for i, k in idx.reshape(2, -1).T.tolist()]
+    return [DensityMatrixElement(q_plus=qp, q_minus=qm, terms=ts,
+                                 value=complex(sum(x.value for x in ts)))
+            for qp, qm, ts in zip(q_plus.tolist(), q_minus.tolist(), terms)]
 
 
 def density_matrix_sc(q_plus: float, q_minus: float, shell: ShellSpec,
                       system: HamiltonianSystem,
                       channels: Sequence[LindbladChannel], t: float,
                       hbar: float) -> DensityMatrixElement:
-    """Sum over branch pairs of a+ a- e^{i(phi+ - phi-)} e^{-D_t^2/2hbar}.
-
-    D_t is accumulated by the two branch points as they move along the
-    shell (one shell_d2 call for all pairs); system must be shell.system.
-    Hermitian channels never touch the phase.
-    """
+    """The one-pair case of density_matrix; system must be shell.system."""
     _require_shell_dynamics(shell, system)
-    bp = wkb_branches(q_plus, shell)
-    bm = wkb_branches(q_minus, shell)
-    flagged = any(b.turning for b in bp + bm)
-    if (bp and all(b.turning for b in bp)) or \
-            (bm and all(b.turning for b in bm)):
-        raise TurningPointError(
-            "a query position sits at a turning point, where the "
-            "primitive WKB amplitude diverges")
-    bp, bm = ([b for b in br if not b.turning] for br in (bp, bm))
-    d2 = shell_d2(shell, [b.theta for b in bp], [b.theta for b in bm], t,
-                  channels)
-    terms = [BranchPairTerm(j_plus=b1.j, j_minus=b2.j,
-                            amplitude=b1.amplitude * b2.amplitude,
-                            phase=b1.phase(hbar) - b2.phase(hbar),
-                            damping=float(np.exp(-d2[i, k] / (2.0 * hbar))))
-             for i, b1 in enumerate(bp) for k, b2 in enumerate(bm)]
-    value = complex(sum(term.value for term in terms))
-    return DensityMatrixElement(q_plus=q_plus, q_minus=q_minus, value=value,
-                                terms=tuple(terms), flagged=flagged)
+    return density_matrix([q_plus], [q_minus], shell, channels, t, hbar)[0]
 
 
 def swapped_system(system: HamiltonianSystem) -> HamiltonianSystem:
@@ -157,7 +168,7 @@ def swapped_system(system: HamiltonianSystem) -> HamiltonianSystem:
 
 
 def swapped_shell(shell: ShellSpec, channels: Sequence[LindbladChannel]):
-    """(shell, channels) with p and q exchanged, for density_matrix_sc.
+    """(shell, channels) with p and q exchanged, for density_matrix.
 
     The exchange is antisymplectic (time-reversing); |delta L|^2 time
     integrals are invariant, so the damping carries over unchanged.
@@ -168,18 +179,6 @@ def swapped_shell(shell: ShellSpec, channels: Sequence[LindbladChannel]):
         hermitian=ch.hermitian) for ch in channels]
     return (build_shell(swapped_system(shell.system), shell.energy),
             sw_channels)
-
-
-def momentum_rep_element(p_plus: float, p_minus: float, shell: ShellSpec,
-                         system: HamiltonianSystem,
-                         channels: Sequence[LindbladChannel], t: float,
-                         hbar: float) -> DensityMatrixElement:
-    """Mirror of density_matrix_sc with p and q exchanged: the tips move
-    along swapped_shell(shell, channels); system must be shell.system."""
-    _require_shell_dynamics(shell, system)
-    sw_shell, sw_channels = swapped_shell(shell, channels)
-    return density_matrix_sc(p_plus, p_minus, sw_shell, sw_shell.system,
-                             sw_channels, t, hbar)
 
 
 def write_element_grid(path, elements: Sequence[DensityMatrixElement]) -> None:

@@ -10,8 +10,8 @@ import pytest
 
 import chordwigner
 from chordwigner import (ShellSpec, build_shell, chord_amplitude,
-                         find_chords, make_system, momentum_rep_element,
-                         position_channel)
+                         density_matrix, find_chords, make_system,
+                         position_channel, swapped_shell)
 from chordwigner.cli import (COMMANDS, ConfigError, _build_parser,
                              load_config, main)
 
@@ -112,6 +112,35 @@ def test_project_finds_turning_angles_once(tmp_path, monkeypatch, rep):
     })
     assert main(["project", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(searched) == 1
+
+
+@pytest.mark.parametrize("rep", ["position", "momentum"])
+def test_project_makes_one_shell_d2_call(tmp_path, monkeypatch, rep):
+    # every pair's dampings come from one D_t^2 matrix over the branch
+    # angles of the distinct positions
+    calls = []
+    d2 = chordwigner.projection.shell_d2
+    monkeypatch.setattr(chordwigner.projection, "shell_d2",
+                        lambda *a: calls.append(a) or d2(*a))
+    cfg = write_cfg(tmp_path / "c.json", {
+        "system": "harmonic", "hbar": 0.05, "shell": {"energy": 0.5},
+        "channels": ["q"], "t": 0.5, "representation": rep,
+        "pairs": [[0.3, 0.1], [0.4, -0.2], [-0.5, 0.2], [0.1, 0.3]],
+    })
+    assert main(["project", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert len(calls[0][1]) == 2 * 6  # two branches at each distinct q
+
+
+@pytest.mark.parametrize("pairs", [[[0.3]], [[0.3, 0.1, 0.2]], [0.3],
+                                   [[0.3, "x"]], [[0.3, None]]])
+def test_project_malformed_pair_exits_2(tmp_path, pairs):
+    cfg = write_cfg(tmp_path / "c.json", {
+        "system": "harmonic", "hbar": 0.05, "shell": {"energy": 0.5},
+        "channels": ["q"], "t": 0.5, "pairs": [[0.2, 0.1], *pairs],
+    })
+    assert main(["project", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "elements.csv").exists()
 
 
 def test_diffusion_report(tmp_path):
@@ -356,11 +385,12 @@ def test_project_momentum_matches_element_api(tmp_path):
     path = write_cfg(tmp_path / "m.json", cfg)
     assert main(["project", "--config", path, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "elements.csv").read_text().splitlines()[1:]
-    system = make_system("harmonic")
-    shell = build_shell(system, 0.5)
-    for (a, b), row in zip(cfg["pairs"], rows):
-        el = momentum_rep_element(a, b, shell, system, [position_channel()],
-                                  0.4, 0.05)
+    sw_shell, sw_channels = swapped_shell(
+        build_shell(make_system("harmonic"), 0.5), [position_channel()])
+    q_plus, q_minus = np.transpose(cfg["pairs"])
+    els = density_matrix(q_plus, q_minus, sw_shell, sw_channels, 0.4, 0.05)
+    assert len(rows) == len(els) == 3
+    for el, row in zip(els, rows):
         re, im = (float(v) for v in row.split(",")[2:4])
         assert re == pytest.approx(el.value.real, rel=1e-10, abs=1e-12)
         assert im == pytest.approx(el.value.imag, rel=1e-10, abs=1e-12)

@@ -1,20 +1,26 @@
 """WKB branch decomposition and damped density-matrix elements."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from chordwigner import build_shell, make_system
+from chordwigner.compare import check_off_diagonal
 from chordwigner.flow import NumericalError, polynomial_system
-from chordwigner.lindblad import momentum_channel, position_channel
+from chordwigner.lindblad import (momentum_channel, polynomial_channel,
+                                  position_channel, shell_d2)
+from chordwigner.oracle import (TruncatedState, harmonic_ladder, hermite_psi,
+                                lindblad_integrate)
 from chordwigner.projection import (
     TurningPointError,
+    density_matrix,
     density_matrix_sc,
-    momentum_rep_element,
     swapped_shell,
-    swapped_system,
     wkb_branches,
     write_element_grid,
 )
+from chordwigner.shells import named_shell
 from chordwigner.wigner import eval_state, pure_state
 
 HARM = make_system("harmonic")
@@ -32,12 +38,16 @@ def rotation_d2(x_plus, x_minus, t):
 
 
 def assert_rotation_damping(e0, e1, shell, a_plus, a_minus, t):
-    # Each term keeps its t = 0 phase and is damped by the closed form.
-    # Simpson nodes on moving tips leave ~1e-9 in the damping; the
-    # rel 1e-12 of a static-tip check held only because Simpson
-    # integrates a constant integrand exactly.
-    x_plus = {b.j: b.x for b in wkb_branches(a_plus, shell)}
-    x_minus = {b.j: b.x for b in wkb_branches(a_minus, shell)}
+    # Each term keeps its t = 0 phase and is damped by the closed form
+    # for the tips that arrive at the branch points at time t, so start
+    # from the branch points flowed back by t (a rotation by -t).
+    def back(x):
+        p, q = x
+        return np.array([p * np.cos(t) + q * np.sin(t),
+                         q * np.cos(t) - p * np.sin(t)])
+
+    x_plus = {b.j: back(b.x) for b in wkb_branches(a_plus, shell)}
+    x_minus = {b.j: back(b.x) for b in wkb_branches(a_minus, shell)}
     assert len(e1.terms) == len(e0.terms) == 4
     for t0, t1 in zip(e0.terms, e1.terms):
         assert t1.phase == pytest.approx(t0.phase, abs=1e-12)
@@ -96,7 +106,6 @@ def test_element_hermitian_and_term_count():
     assert el.value == pytest.approx(np.conj(rev.value), abs=1e-12)
     assert len(el.terms) == 4
     assert all(t.damping == 1.0 for t in el.terms)
-    assert not el.flagged
 
 
 def test_diagonal_branch_pairs_undamped():
@@ -122,8 +131,6 @@ def test_foreign_dynamics_rejected():
     chan = [position_channel()]
     with pytest.raises(ValueError, match="shell.system"):
         density_matrix_sc(0.3, 0.1, SHELL, FROZEN, chan, 0.7, HBAR)
-    with pytest.raises(ValueError, match="shell.system"):
-        momentum_rep_element(0.4, 0.15, SHELL, FROZEN, chan, 0.6, HBAR)
 
 
 def test_turning_angles_are_roots_of_dq_dtheta():
@@ -155,8 +162,8 @@ def test_degenerate_turning_point_keeps_branches():
     q = sw_shell.points[:, 1]
     qs = sw_shell.point(sw_shell.q_turning_angles())[:, 1]
     np.testing.assert_allclose(qs, [q.min(), q.max()], rtol=0, atol=1e-12)
-    el = momentum_rep_element(0.3, 0.1, shell, quartic, [], 0.0, HBAR)
-    assert len(el.terms) == 4 and not el.flagged
+    el, = density_matrix([0.3], [0.1], sw_shell, [], 0.0, HBAR)
+    assert len(el.terms) == 4
 
 
 def test_folded_shell_raises():
@@ -192,16 +199,15 @@ def test_stationary_phase_consistency():
 def test_momentum_rep_matches_symmetric_hamiltonian():
     # (p^2 + q^2)/2 is swap-invariant, so both representations coincide
     pos = density_matrix_sc(0.3, 0.1, SHELL, HARM, [], 0.0, HBAR)
-    mom = momentum_rep_element(0.3, 0.1, SHELL, HARM, [], 0.0, HBAR)
+    mom, = density_matrix([0.3], [0.1], *swapped_shell(SHELL, []), 0.0, HBAR)
     assert mom.value == pytest.approx(pos.value, abs=1e-9)
 
 
 def test_momentum_rep_harmonic_decay_closed_form():
     # L = p reads the swapped shell's q, which rotates rigidly as well
-    chan = [momentum_channel()]
-    e0 = momentum_rep_element(0.4, 0.15, SHELL, HARM, chan, 0.0, HBAR)
-    e1 = momentum_rep_element(0.4, 0.15, SHELL, HARM, chan, 0.7, HBAR)
-    sw_shell = build_shell(swapped_system(HARM), 0.5)
+    sw_shell, chan = swapped_shell(SHELL, [momentum_channel()])
+    e0, e1 = (density_matrix([0.4], [0.15], sw_shell, chan, t, HBAR)[0]
+              for t in (0.0, 0.7))
     assert_rotation_damping(e0, e1, sw_shell, 0.4, 0.15, 0.7)
 
 
@@ -216,3 +222,91 @@ def test_write_element_grid(tmp_path):
     path2 = tmp_path / "els2.csv"
     write_element_grid(path2, els)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_density_matrix_length_mismatch_raises():
+    with pytest.raises(ValueError, match="equal length"):
+        density_matrix([0.3, 0.1], [0.2], SHELL, [], 0.0, HBAR)
+
+
+def test_off_diagonal_check_makes_one_shell_d2_call_per_time(monkeypatch):
+    calls = []
+    monkeypatch.setattr("chordwigner.projection.shell_d2",
+                        lambda *a: calls.append(a) or shell_d2(*a))
+    result = check_off_diagonal()
+    assert result.passed and result.detail["n_probes"] == 3
+    # t = 0 and five period fractions, each over every probe's branches
+    times = [c[3] for c in calls]
+    assert len(times) == 6 and times[0] == 0.0 and np.all(np.diff(times) > 0)
+    assert all(len(c[1]) == len(calls[0][1]) >= 6 for c in calls)
+
+
+BUILTIN = {name: build_shell(make_system(name), energy)
+           for name, energy in (("harmonic", 0.5), ("quartic", 0.5),
+                                ("pendulum", -0.4))}
+QP_CHANNEL = polynomial_channel({(0, 1): 0.5, (1, 0): 0.5})
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BUILTIN)),
+       fractions=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=6),
+       times=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2))
+def test_batched_elements_are_the_pairwise_ones(name, fractions, times):
+    # every ordered pair of the positions, both orders in one batch:
+    # rho(b, a) = conj rho(a, b), and each value is density_matrix_sc's
+    shell = BUILTIN[name]
+    q = shell.points[:, 1]
+    qs = q.min() + np.asarray(fractions) * (q.max() - q.min())
+    q_plus, q_minus = (g.ravel() for g in np.meshgrid(qs, qs, indexing="ij"))
+    for tf in times:
+        t = tf * shell.period
+        rho = np.array([el.value for el in density_matrix(
+            q_plus, q_minus, shell, [QP_CHANNEL], t, HBAR)])
+        grid = rho.reshape(qs.size, qs.size)
+        np.testing.assert_allclose(grid.T, grid.conj(), rtol=0, atol=1e-14)
+        loop = [density_matrix_sc(a, b, shell, shell.system, [QP_CHANNEL], t,
+                                  HBAR).value
+                for a, b in zip(q_plus.tolist(), q_minus.tolist())]
+        np.testing.assert_allclose(rho, loop, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("channel, l_op", [
+    (position_channel(), lambda q, p: q),
+    (QP_CHANNEL, lambda q, p: (q + p) / 2)], ids=["q", "(q+p)/2"])
+def test_density_matrix_tracks_oracle(channel, l_op):
+    """The complex rho(q+, q-) on a 21 x 21 grid against the exact
+    ladder propagation of level 10, at T/32, T/16 and T/8.
+
+    At t = 0 the two differ by the primitive WKB error, O(hbar), 2.4% of
+    the oracle's norm here.  The dampings are numbers in (0, 1] on each
+    branch-pair term, so a damping that is right to leading order keeps
+    the error of the damped sum at the size of the t = 0 error, and
+    twice that bound leaves room for the next order of D_t.  Damping
+    the tips along their future instead of their past gives the
+    transposed matrix under L = q (|rho| right, 6-15 times the bound
+    in rho) and a wrong |rho| under (q + p)/2 (4-9 times).
+    """
+    hbar, n, count = 0.05, 10, 70
+    shell = named_shell(HARM, hbar, n)
+    r = np.sqrt(2.0 * shell.energy)
+    qs = np.linspace(-0.8 * r, 0.8 * r, 21)
+    q_plus, q_minus = (g.ravel() for g in np.meshgrid(qs, qs, indexing="ij"))
+    energies, q_mat, p_mat = harmonic_ladder(count, hbar)
+    rho0 = np.zeros((count, count), dtype=complex)
+    rho0[n, n] = 1.0
+    times = shell.period * np.array([0.0, 1 / 32, 1 / 16, 1 / 8])
+    states = lindblad_integrate(TruncatedState(rho0, energies, hbar),
+                                energies, [l_op(q_mat, p_mat)], times)[0]
+    psi = hermite_psi(count - 1, qs, hbar)
+    bound = None
+    for t, st_t in zip(times, states):
+        rho_or = psi.T @ st_t.rho @ psi
+        rho_sc = np.reshape([el.value for el in density_matrix(
+            q_plus, q_minus, shell, [channel], float(t), hbar)], rho_or.shape)
+        err = np.linalg.norm(rho_sc - rho_or)
+        err_abs = np.linalg.norm(np.abs(rho_sc) - np.abs(rho_or))
+        if bound is None:
+            bound = 2.0 * err
+            assert err < 0.03 * np.linalg.norm(rho_or)
+            continue
+        assert err <= bound and err_abs <= bound, t / shell.period
