@@ -76,7 +76,16 @@ class HamiltonianSystem:
     def velocity(self, x):
         """Hamiltonian vector field J grad H = (-dH/dq, +dH/dp)."""
         g = self.gradient(x)
-        return np.stack([-g[..., 1], g[..., 0]], axis=-1)
+        return _pair(g, -g[..., 1], g[..., 0])
+
+
+def _pair(x, a, b):
+    """A fresh array of x's shape (..., 2) holding a and b in its two
+    columns: filled in place, since np.stack costs as much as the
+    derivatives of a built-in system."""
+    g = np.empty(np.shape(x))
+    g[..., 0], g[..., 1] = a, b
+    return g
 
 
 def make_system(name: str) -> HamiltonianSystem:
@@ -85,19 +94,19 @@ def make_system(name: str) -> HamiltonianSystem:
         return HamiltonianSystem(
             name,
             value=lambda x: 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2),
-            grad=lambda x: np.stack([x[..., 0], x[..., 1]], axis=-1),
+            grad=lambda x: _pair(x, x[..., 0], x[..., 1]),
         )
     if name == "quartic":
         return HamiltonianSystem(
             name,
             value=lambda x: 0.5 * x[..., 0] ** 2 + 0.5 * x[..., 1] ** 4,
-            grad=lambda x: np.stack([x[..., 0], 2.0 * x[..., 1] ** 3], axis=-1),
+            grad=lambda x: _pair(x, x[..., 0], 2.0 * x[..., 1] ** 3),
         )
     if name == "pendulum":
         return HamiltonianSystem(
             name,
             value=lambda x: 0.5 * x[..., 0] ** 2 - np.cos(x[..., 1]),
-            grad=lambda x: np.stack([x[..., 0], np.sin(x[..., 1])], axis=-1),
+            grad=lambda x: _pair(x, x[..., 0], np.sin(x[..., 1])),
         )
     raise ValueError(f"unknown system {name!r}")
 
@@ -132,13 +141,9 @@ def polynomial_system(coeffs: dict, name: str = "poly") -> HamiltonianSystem:
     table = {(int(a), int(b)): float(c) for (a, b), c in coeffs.items()}
     dp, dq = _poly_deriv(table, 1, 0), _poly_deriv(table, 0, 1)
 
-    def grad(x):  # filled in place: np.stack costs as much as both sums
-        g = np.empty(np.shape(x))
-        g[..., 0], g[..., 1] = _poly_eval(dp, x), _poly_eval(dq, x)
-        return g
-
-    return HamiltonianSystem(name, value=lambda x: _poly_eval(table, x),
-                             grad=grad)
+    return HamiltonianSystem(
+        name, value=lambda x: _poly_eval(table, x),
+        grad=lambda x: _pair(x, _poly_eval(dp, x), _poly_eval(dq, x)))
 
 
 @dataclass

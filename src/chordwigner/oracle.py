@@ -95,12 +95,16 @@ def _fgh_hamiltonian(v: np.ndarray, dq: float, hbar: float) -> np.ndarray:
     """Dense Fourier-grid hamiltonian: exact spectral kinetic energy."""
     n = len(v)
     k = 2 * np.pi * np.fft.fftfreq(n, d=dq)
-    # T = F^-1 diag(hbar^2 k^2 / 2) F, realised column-by-column via FFT
-    tcol = np.fft.ifft(0.5 * hbar**2 * k**2)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    t = tcol.real[idx]
-    h = t + np.diag(v)
-    return 0.5 * (h + h.T)
+    # T = F^-1 diag(hbar^2 k^2 / 2) F is the circulant T_ij = c[(i - j) % n]
+    # of c = ifft(hbar^2 k^2 / 2); averaging c[m] with c[-m] symmetrises
+    # it, and one n x n array takes the rows (c rolled by i) from a
+    # window view of [c, c], then v on its diagonal
+    c = np.fft.ifft(0.5 * hbar**2 * k**2).real
+    c = 0.5 * (c + np.roll(c[::-1], 1))
+    rows = np.lib.stride_tricks.sliding_window_view(np.tile(c, 2), n)
+    h = rows[n:0:-1].copy()
+    h.flat[::n + 1] += v
+    return h
 
 
 _EIGEN_CACHE: dict = {}

@@ -42,6 +42,9 @@ TWO_PI = 2.0 * np.pi
 _BLOCK = 16
 # Shell samples per axis of the midpoint scan that seeds the Newton.
 _N_SCAN = 64
+# Pass cap of the damped Newton: converging seeds on the built-in shells
+# take at most 34 passes.
+_NEWTON_PASSES = 40
 # Seeds per damped Newton solve.  It bounds the solve's working arrays
 # (about 200 B per seed); a 41x41 grid fits in one solve.
 _NEWTON_BATCH = 16384
@@ -301,18 +304,29 @@ def _solve2(a, b):
 
 def _newton_tips(shell: ShellSpec, x, tm, tp, hcell: float):
     """Damped Newton on midpoint(tm, tp) = x over stacked seeds: updates
-    tm, tp in place and returns the mask of converged seeds."""
+    tm, tp in place and returns the mask of converged seeds.
+
+    A pass is a function of a seed's own tips, so a seed whose tips are
+    bit for bit where they were two passes before would repeat that
+    2-cycle of clipped steps up to the pass cap: it is abandoned.  The
+    seeds that never converge sit near an antipodal tip pair with nearly
+    parallel tip velocities, and nearly all of them fall into such a
+    cycle; the few that only approach one run to the cap."""
     tol = 1e-10 * np.sqrt(shell.speed_scale)
     ok = np.zeros(len(x), dtype=bool)
     act = np.arange(len(x))
-    for _ in range(40):
-        r = 0.5 * shell.point([tm[act], tp[act]]).sum(axis=0) - x[act]
+    back = np.full((2, 2, len(x)), np.nan)  # tips two and one passes ago
+    for _ in range(_NEWTON_PASSES):
+        tips = np.array([tm[act], tp[act]])
+        r = 0.5 * shell.point(tips).sum(axis=0) - x[act]
         conv = np.linalg.norm(r, axis=-1) < tol
         ok[act[conv]] = True
-        act, r = act[~conv], r[~conv]
+        live = ~conv & np.any(tips != back[0][:, act], axis=0)
+        back[:, :, act] = back[1][:, act], tips
+        act, r, tips = act[live], r[live], tips[:, live]
         if not act.size:
             break
-        jac = 0.5 * shell.velocity_theta([tm[act], tp[act]]).transpose(1, 2, 0)
+        jac = 0.5 * shell.velocity_theta(tips).transpose(1, 2, 0)
         step = np.clip(_solve2(jac, -r), -2 * hcell, 2 * hcell)
         tm[act] += step[:, 0]
         tp[act] += step[:, 1]
@@ -323,7 +337,9 @@ class _ChordArrays(NamedTuple):
     """The chords of a batch of points, one entry per chord, grouped by
     owner (the index of the point) in ascending order and, within a
     point, by short-arc length; dropped[k] counts point k's Newton seeds
-    that did not converge."""
+    that were abandoned in a 2-cycle or left unconverged at the pass cap
+    (only scan minima with i <= j seed, so a chord's mirror seed counts
+    no more)."""
 
     owner: np.ndarray
     theta_minus: np.ndarray
@@ -380,15 +396,18 @@ def _search_chords(shell: ShellSpec, xs) -> _ChordArrays:
     sub, thg = shell.points[::stride], shell.theta[::stride]
     hcell = TWO_PI / len(thg)
     mid = 0.5 * (sub[:, None, :] + sub[None, :, :])
+    upper = np.triu(np.ones(mid.shape[:2], dtype=bool))
 
     # periodic local minima of each inside point's midpoint-distance
-    # landscape seed the Newton; an on-shell point gets no seeds
+    # landscape seed the Newton; the landscape is symmetric under
+    # i <-> j, so only minima with i <= j seed each chord once; an
+    # on-shell point gets no seeds
     seeds = [np.zeros((3, 0), dtype=int)]
     for b in range(0, len(idx), _BLOCK):
         blk = idx[b:b + _BLOCK]
         d2 = (mid[..., 0] - xs[blk, 0, None, None]) ** 2
         d2 += (mid[..., 1] - xs[blk, 1, None, None]) ** 2
-        mins = np.ones(d2.shape, dtype=bool)
+        mins = np.tile(upper, (len(blk), 1, 1))
         for shift, axis in ((1, 1), (-1, 1), (1, 2), (-1, 2)):
             mins &= d2 <= np.roll(d2, shift, axis=axis)
         o, i, j = np.nonzero(mins)

@@ -45,7 +45,7 @@ class WignerSample:
     value: float
     contributions: Tuple[ChordContribution, ...]
     caustic_flag: bool
-    dropped_seeds: int = 0   # chord-search seeds left unconverged
+    dropped_seeds: int = 0   # chord-search seeds abandoned or unconverged
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class WignerGridResult:
     values: np.ndarray        # (len(qs), len(ps))
     n_chords: np.ndarray
     caustic: np.ndarray
-    dropped_seeds: np.ndarray  # unconverged chord-search seeds per point
+    dropped_seeds: np.ndarray  # abandoned or unconverged seeds per point
     state: SemiclassicalState
 
     def write_csv(self, path) -> None:

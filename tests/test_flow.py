@@ -46,6 +46,23 @@ def test_velocity_field_orientation():
     assert_allclose(v, [-1.0, 0.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("shape", [(2,), (7, 2), (3, 4, 2)])
+def test_gradients_fill_fresh_arrays_like_np_stack(shape):
+    # the built-in gradients, a polynomial table's and velocity fill one
+    # np.empty array: the same floats, bit for bit, as the np.stack forms
+    x = np.random.default_rng(3).normal(size=shape)
+    p, q = x[..., 0], x[..., 1]
+    poly = polynomial_system({(2, 0): 0.5, (0, 4): 0.5})
+    for system, dq in ((harmonic, q), (quartic, 2.0 * q**3),
+                       (pendulum, np.sin(q)), (poly, 2.0 * q**3)):
+        g = np.stack([p, dq], axis=-1)
+        for got, want in ((system.gradient(x), g),
+                          (system.velocity(x),
+                           np.stack([-g[..., 1], g[..., 0]], axis=-1))):
+            assert got.shape == shape and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, x)
+
+
 def test_harmonic_quarter_turn():
     traj = hamiltonian_flow(harmonic, (0.0, 1.0), np.pi / 2)
     assert_allclose(traj.final, [-1.0, 0.0], atol=1e-6)

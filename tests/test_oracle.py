@@ -22,6 +22,7 @@ from chordwigner.oracle import (
     inverse_weyl,
     lindblad_integrate,
     moyal_star,
+    _fgh_hamiltonian,
     _separable_potential,
     _solve_on_box,
     purity,
@@ -188,6 +189,23 @@ def test_weyl_round_trip_memory():
     wg = weyl_transform(grid)
     assert _traced_peak(weyl_transform, grid) <= 60 * n * n
     assert _traced_peak(inverse_weyl, wg) <= 60 * n * n
+
+
+@pytest.mark.parametrize("n", [7, 8, 512])
+def test_fgh_hamiltonian_in_one_matrix(n):
+    # one n x n array holds the kinetic circulant, the potential and the
+    # symmetrisation: 2.5 times the output leaves room for vectors of
+    # length n but not for a second n x n temporary; H is bit for bit the
+    # indexed circulant plus diag(v), symmetrised
+    dq, hbar = 8.0 / n, 0.05
+    v = 0.5 * (-4.0 + dq * np.arange(n)) ** 4
+    tcol = np.fft.ifft(0.5 * hbar**2 * (2 * np.pi * np.fft.fftfreq(n, dq))**2)
+    h = tcol.real[(np.arange(n)[:, None] - np.arange(n)) % n] + np.diag(v)
+    want = 0.5 * (h + h.T)
+    assert _fgh_hamiltonian(v, dq, hbar).tobytes() == want.tobytes()
+    if n >= 512:  # below that the length-n vectors weigh as much as H
+        assert _traced_peak(lambda a: _fgh_hamiltonian(a, dq, hbar), v) <= (
+            2.5 * want.nbytes)
 
 
 def test_cat_state_fringes_and_blocks():

@@ -252,6 +252,115 @@ def test_contains_matches_per_edge_reference(builtin_shells,
     assert type(one) is bool and one == even_odd_reference(shell, xs[0])
 
 
+# 41 x 41 grids over the bounding boxes of builtin_shells
+BUILTIN_GRIDS = (((-1.2, 1.2), (-1.2, 1.2)), ((-1.1, 1.1), (-0.95, 0.95)),
+                 ((-1.15, 1.15), (-2.0, 2.0)))
+
+
+def builtin_grid(which):
+    (p0, p1), (q0, q1) = BUILTIN_GRIDS[which]
+    ps, qs = np.linspace(p0, p1, 41), np.linspace(q0, q1, 41)
+    return np.stack(np.meshgrid(ps, qs), axis=-1).reshape(-1, 2)
+
+
+def full_seeding_chords(shell, xs):
+    """Reference chord search: every periodic minimum of the 64 x 64
+    midpoint scan, (i, j) and (j, i) alike, seeds a damped Newton that
+    runs all 40 passes and abandons no seed.  Returns (owner,
+    theta_minus, theta_plus) of the distinct chords of the points of xs
+    inside the shell and off it, canonical and deduplicated."""
+    on = np.abs(shell.system.energy(xs) - shell.energy) < 1e-10 * (
+        1.0 + abs(shell.energy))
+    idx = np.flatnonzero(shell.contains(xs) & ~on)
+    sub, thg = shell.points[::32], shell.theta[::32]
+    h = 2 * np.pi / 64
+    mid = 0.5 * (sub[:, None] + sub[None])
+    owner, i, j = [np.zeros(0, dtype=int)] * 3
+    for b in range(0, len(idx), 128):
+        d2 = np.sum((mid - xs[idx[b:b + 128], None, None]) ** 2, axis=-1)
+        mins = np.ones(d2.shape, dtype=bool)
+        for shift, axis in ((1, 1), (-1, 1), (1, 2), (-1, 2)):
+            mins &= d2 <= np.roll(d2, shift, axis=axis)
+        o, ii, jj = np.nonzero(mins)
+        owner, i, j = (np.concatenate(a) for a in
+                       ((owner, idx[b + o]), (i, ii), (j, jj)))
+    tm, tp = thg[i] - 0.25 * h, thg[j] + 0.25 * h
+    ok = np.zeros(len(tm), dtype=bool)
+    for _ in range(40):
+        r = 0.5 * (shell.point(tm) + shell.point(tp)) - xs[owner]
+        ok |= np.linalg.norm(r, axis=-1) < 1e-10 * np.sqrt(shell.speed_scale)
+        jac = 0.5 * np.stack([shell.velocity_theta(tm),
+                              shell.velocity_theta(tp)], axis=-1)
+        step = np.clip(_solve2(jac, -r), -2 * h, 2 * h)
+        step[ok] = 0.0
+        tm, tp = tm + step[:, 0], tp + step[:, 1]
+    owner, tm, tp = owner[ok], tm[ok], tp[ok]
+    swap = (tp - tm) % (2 * np.pi) > np.pi
+    tm, tp = np.where(swap, [tp, tm], [tm, tp]) % (2 * np.pi)
+    keep = _dedup(owner, tm, tp)
+    return owner[keep], tm[keep], tp[keep]
+
+
+def assert_same_chords(shell, xs):
+    """_search_chords finds what full_seeding_chords finds: at every
+    point that neither flags caustic, the same chord count, within 1e-8
+    rad, and an odd count inside the shell (chord-count parity)."""
+    found = _search_chords(shell, xs)
+    ref = full_seeding_chords(shell, xs)
+    ref_caustic = np.abs(shell.wedge(ref[1], ref[2])) < (
+        1e-3 * shell.speed_scale)
+    n = len(xs)
+    count = np.bincount(found.owner, minlength=n)
+    caustic = np.bincount(found.owner[found.caustic], minlength=n) > 0
+    either = caustic | (np.bincount(ref[0][ref_caustic], minlength=n) > 0)
+    regular = np.flatnonzero(~either)
+    assert np.array_equal(count[regular],
+                          np.bincount(ref[0], minlength=n)[regular])
+    inside = regular[shell.contains(xs[regular])]
+    assert np.all(count[inside] % 2 == 1)
+    for k in inside:
+        mine, theirs = found.owner == k, ref[0] == k
+        order = np.argsort((ref[2][theirs] - ref[1][theirs]) % (2 * np.pi))
+        for got, want in ((found.theta_minus[mine], ref[1][theirs][order]),
+                          (found.theta_plus[mine], ref[2][theirs][order])):
+            gap = (got - want + np.pi) % (2 * np.pi) - np.pi
+            assert np.max(np.abs(gap)) < 1e-8
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_search_matches_full_seeding_on_builtin_grids(builtin_shells, which):
+    assert_same_chords(builtin_shells[which], builtin_grid(which))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(which=st.integers(0, 2),
+       polar=st.lists(st.tuples(st.floats(0.0, 2 * np.pi),
+                                st.floats(0.02, 0.98)),
+                      min_size=1, max_size=12))
+def test_search_matches_full_seeding_at_random_points(builtin_shells, which,
+                                                      polar):
+    # scaling a shell point towards the origin lands strictly inside
+    shell = builtin_shells[which]
+    assert_same_chords(shell, np.array([rho * shell.point(th)
+                                        for th, rho in polar]))
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_newton_stops_before_pass_cap(builtin_shells, monkeypatch, which):
+    # one _solve2 per pass that takes a step; some seeds of each of these
+    # searches stall near an antipodal tip pair, and they must not keep
+    # the Newton running to its cap of 40 passes
+    solved = []
+    solve = shells._solve2
+    monkeypatch.setattr(shells, "_solve2",
+                        lambda a, b: solved.append(len(a)) or solve(a, b))
+    shell = builtin_shells[which]
+    for xs in (builtin_grid(which), 0.3 * shell.point(3.0)[None]):
+        solved.clear()
+        _search_chords(shell, xs)
+        assert 0 < len(solved) < 40
+
+
 def _lstsq_rows(a, b):
     return np.array([np.linalg.lstsq(ak, bk, rcond=None)[0]
                      for ak, bk in zip(a, b)])
