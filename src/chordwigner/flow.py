@@ -215,7 +215,9 @@ def _closed_orbit(system, x0, t_max: float = 400.0, dense: bool = False):
     grad = system.grad
 
     def rhs(t, y):
-        gp, gq = grad(y[:2])
+        # Python floats, bit for bit the numpy scalars: solve_ivp converts
+        # a list of them faster
+        gp, gq = np.asarray(grad(y[:2])).tolist()
         return [-gq, gp, y[0] * gp]
 
     def section(t, y):

@@ -3,8 +3,10 @@
 A shell is the closed orbit H = E, sampled uniformly in time and wrapped
 in periodic splines; theta in [0, 2pi) is the angle (uniformized time)
 variable.  A chord is a pair of shell points whose midpoint is a given
-phase-space point x; its symplectic area S, tip-velocity wedge and
-traversal time are the raw material of the semiclassical construction.
+phase-space point x: its tips are where the shell meets its own
+reflection through x, the roots of H(2x - x(theta)) = E.  Its symplectic
+area S, tip-velocity wedge and traversal time are the raw material of
+the semiclassical construction.
 """
 from __future__ import annotations
 
@@ -37,13 +39,12 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 # Block size of the batched chord search.  It bounds the working arrays:
 # the even-odd test tabulates crossings for block distinct p values at a
-# time (block x n_samples values), the seed scan holds block inside
-# points x _N_SCAN^2.
+# time (block x n_samples values), the ring seeding takes block x _N_SCAN
+# inside points at a time (block x _N_SCAN^2 values).
 _BLOCK = 16
-# Shell samples per axis of the midpoint scan that seeds the Newton.
+# Ring of shell samples whose roots of H(2x - x(theta)) - E seed Newton.
 _N_SCAN = 64
-# Pass cap of the damped Newton: converging seeds on the built-in shells
-# take at most 34 passes.
+# Newton pass cap; ring seeds on the built-in shells converge within 12.
 _NEWTON_PASSES = 40
 # Seeds per damped Newton solve.  It bounds the solve's working arrays
 # (about 200 B per seed); a 41x41 grid fits in one solve.
@@ -308,10 +309,7 @@ def _newton_tips(shell: ShellSpec, x, tm, tp, hcell: float):
 
     A pass is a function of a seed's own tips, so a seed whose tips are
     bit for bit where they were two passes before would repeat that
-    2-cycle of clipped steps up to the pass cap: it is abandoned.  The
-    seeds that never converge sit near an antipodal tip pair with nearly
-    parallel tip velocities, and nearly all of them fall into such a
-    cycle; the few that only approach one run to the cap."""
+    2-cycle of clipped steps up to the pass cap: it is abandoned."""
     tol = 1e-10 * np.sqrt(shell.speed_scale)
     ok = np.zeros(len(x), dtype=bool)
     act = np.arange(len(x))
@@ -337,9 +335,9 @@ class _ChordArrays(NamedTuple):
     """The chords of a batch of points, one entry per chord, grouped by
     owner (the index of the point) in ascending order and, within a
     point, by short-arc length; dropped[k] counts point k's Newton seeds
-    that were abandoned in a 2-cycle or left unconverged at the pass cap
-    (only scan minima with i <= j seed, so a chord's mirror seed counts
-    no more)."""
+    that were abandoned in a 2-cycle or left unconverged at the pass cap,
+    such as a seed from a ring root whose reflection lies on another
+    branch of H = E."""
 
     owner: np.ndarray
     theta_minus: np.ndarray
@@ -381,40 +379,69 @@ def _dedup(owner, tm, tp):
     return keep
 
 
+def _ring_seeds(shell: ShellSpec, xs, ring, thg, tol: float):
+    """Newton seeds (owner, tm, tp) of the points xs (k, 2), owner
+    ascending.  A chord's tips are roots of g(theta) = H(2x - x(theta))
+    - E, the shell meeting its reflection through x: on the ring of
+    shell samples, a sign change of g between neighbours is a root by
+    linear interpolation, and a sample with |g| < tol is one itself (at
+    a centre of symmetry every sample is).  A root pairs with the root
+    of its point nearest its reflection, and each pair seeds once; a
+    root whose reflection lies on another branch of H = E has no true
+    partner, and its seed converges to another chord or is dropped.  A
+    point within a ring cell of the shell also gets its nearest sample
+    split +-1/4 cell, for a chord shorter than a cell."""
+    m, hcell = len(thg), TWO_PI / len(thg)
+    g = shell.system.energy(2.0 * xs[:, None] - ring) - shell.energy
+    g[np.abs(g) < tol] = 0.0
+    g1 = np.roll(g, -1, axis=1)
+    o, c = np.nonzero((g == 0.0) | (g * g1 < 0.0))
+    a, b = g[o, c], g1[o, c]
+    f = np.divide(a, a - b, out=np.zeros_like(a), where=a != 0.0)
+    th = thg[c] + f * hcell
+    y = ring[c] + f[:, None] * (ring[(c + 1) % m] - ring[c])
+    # the points with r roots are paired together: rows (k_r, r)
+    cnt = np.bincount(o, minlength=len(xs))
+    first, root = np.cumsum(cnt) - cnt, np.arange(len(o))
+    partner = root.copy()
+    for r in np.unique(cnt[cnt > 1]):
+        rows = first[cnt == r, None] + np.arange(r)
+        refl = 2.0 * xs[o[rows]] - y[rows]
+        d2 = np.sum((refl[:, :, None] - y[rows][:, None]) ** 2, axis=-1)
+        partner[rows] = np.take_along_axis(rows, d2.argmin(axis=-1), axis=1)
+    lo, hi = np.minimum(root, partner), np.maximum(root, partner)
+    lo, hi = np.divmod(np.unique((lo * len(o) + hi)[lo != hi]), len(o))
+    d2 = np.sum((ring - xs[:, None]) ** 2, axis=-1)
+    near = np.flatnonzero(d2.min(axis=1) < hcell ** 2 * shell.speed_scale)
+    split = thg[d2[near].argmin(axis=1)]
+    owner = np.concatenate([o[lo], near])
+    order = np.argsort(owner, kind="stable")
+    tm = np.concatenate([th[lo], split - 0.25 * hcell])
+    tp = np.concatenate([th[hi], split + 0.25 * hcell])
+    return owner[order], tm[order], tp[order]
+
+
 def _search_chords(shell: ShellSpec, xs) -> _ChordArrays:
     """The chords of the points xs (n, 2): for each k, owner == k selects
-    what find_chords gives for xs[k].  The midpoint scan runs over blocks
-    of _BLOCK inside points; one damped Newton then takes every seed of
-    the batch, _NEWTON_BATCH seeds at a time."""
+    what find_chords gives for xs[k].  The ring seeds (_ring_seeds) are
+    found for blocks of _BLOCK * _N_SCAN inside points; one damped Newton
+    then takes every seed of the batch, _NEWTON_BATCH seeds at a time."""
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
     n = len(xs)
-    on = np.abs(shell.system.energy(xs) - shell.energy) < 1e-10 * (
-        1.0 + abs(shell.energy))
+    tol = 1e-10 * (1.0 + abs(shell.energy))
+    on = np.abs(shell.system.energy(xs) - shell.energy) < tol
     idx = np.flatnonzero(_inside(shell, xs) & ~on)
 
     stride = max(1, shell.n_samples // _N_SCAN)
-    sub, thg = shell.points[::stride], shell.theta[::stride]
+    ring, thg = shell.points[::stride], shell.theta[::stride]
     hcell = TWO_PI / len(thg)
-    mid = 0.5 * (sub[:, None, :] + sub[None, :, :])
-    upper = np.triu(np.ones(mid.shape[:2], dtype=bool))
-
-    # periodic local minima of each inside point's midpoint-distance
-    # landscape seed the Newton; the landscape is symmetric under
-    # i <-> j, so only minima with i <= j seed each chord once; an
-    # on-shell point gets no seeds
-    seeds = [np.zeros((3, 0), dtype=int)]
-    for b in range(0, len(idx), _BLOCK):
-        blk = idx[b:b + _BLOCK]
-        d2 = (mid[..., 0] - xs[blk, 0, None, None]) ** 2
-        d2 += (mid[..., 1] - xs[blk, 1, None, None]) ** 2
-        mins = np.tile(upper, (len(blk), 1, 1))
-        for shift, axis in ((1, 1), (-1, 1), (1, 2), (-1, 2)):
-            mins &= d2 <= np.roll(d2, shift, axis=axis)
-        o, i, j = np.nonzero(mins)
-        seeds.append(np.stack([blk[o], i, j]))
-    owner, i, j = np.concatenate(seeds, axis=1)
-    # jitter splits degenerate diagonal seeds into tip pairs
-    tm, tp = thg[i] - 0.25 * hcell, thg[j] + 0.25 * hcell
+    # an on-shell point gets no seeds
+    seeds = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))]
+    for b in range(0, len(idx), _BLOCK * _N_SCAN):
+        blk = idx[b:b + _BLOCK * _N_SCAN]
+        o, tm, tp = _ring_seeds(shell, xs[blk], ring, thg, tol)
+        seeds.append((blk[o], tm, tp))
+    owner, tm, tp = (np.concatenate(a) for a in zip(*seeds))
     ok = np.zeros(len(owner), dtype=bool)
     for b in range(0, len(owner), _NEWTON_BATCH):
         s = slice(b, b + _NEWTON_BATCH)
@@ -451,9 +478,10 @@ def _search_chords(shell: ShellSpec, xs) -> _ChordArrays:
 def find_chords(shell: ShellSpec, x) -> List[Chord]:
     """All shell chords whose midpoint is x.
 
-    A coarse midpoint scan seeds damped Newton iterations on the tip
-    angles; solutions are canonicalised to theta_+ - theta_- in [0, pi]
-    (short arc) and deduplicated.  Points outside the shell have no
+    Ring roots of H(2x - x(theta)) - E, paired through x, seed damped
+    Newton iterations on the tip angles (_ring_seeds); solutions are
+    canonicalised to theta_+ - theta_- in [0, pi] (short arc) and
+    deduplicated.  Points outside the shell have no
     chords; a point on the shell owns a single zero-length chord, flagged
     as caustic.  A chord is caustic where |wedge| < 1e-3 speed_scale, the
     threshold eval_state and eval_grid flag with too.

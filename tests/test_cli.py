@@ -445,3 +445,24 @@ def test_console_script_entry(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "star.json" in proc.stdout
+
+
+# the public scipy subpackages that importing the package and its CLI
+# loads; a module-level import of another one adds to every process's
+# start-up, which each CLI command and the benchmark's setup_s pay
+SCIPY_AT_IMPORT = {"constants", "fft", "integrate", "interpolate", "linalg",
+                   "optimize", "sparse", "spatial", "special", "version"}
+
+
+def test_import_loads_only_known_scipy_subpackages():
+    src = str(Path(chordwigner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chordwigner, chordwigner.cli\n"
+         "print(' '.join(sorted({m.split('.')[1] for m in sys.modules\n"
+         "      if m.startswith('scipy.')})))"],
+        capture_output=True, text=True, env=env, check=True)
+    loaded = {m for m in proc.stdout.split() if not m.startswith("_")}
+    assert loaded and loaded <= SCIPY_AT_IMPORT

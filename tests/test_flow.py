@@ -20,7 +20,7 @@ from chordwigner import (
     skew,
 )
 from chordwigner import shells
-from chordwigner.flow import _closed_orbit
+from chordwigner.flow import _ORBIT_TOL, _closed_orbit
 
 harmonic = make_system("harmonic")
 quartic = make_system("quartic")
@@ -209,6 +209,52 @@ def test_quantize_energy_exact_on_power_law_wells(monkeypatch, kind,
     energy = quantize_energy(system, level, hbar)
     assert_allclose(energy, (target / area_of(1.0)) ** (1 / k), rtol=1e-10)
     assert len(probes) <= 2
+
+
+def _closed_orbit_numpy_scalars(system, x0):
+    """_closed_orbit(system, x0, dense=True) with a right-hand side that
+    returns the gradient's numpy scalars, as it did before it unpacked
+    Python floats."""
+    from scipy.integrate import solve_ivp
+
+    v0 = system.velocity(x0)
+    v0 = v0 / float(np.hypot(v0[0], v0[1]))
+
+    def rhs(t, y):
+        gp, gq = system.grad(y[:2])
+        return [-gq, gp, y[0] * gp]
+
+    def section(t, y):
+        return float(np.dot(y[:2] - x0, v0)) if t > 0 else 1.0
+
+    section.terminal, section.direction = True, 1.0
+    sol = solve_ivp(rhs, (0.0, 400.0), [x0[0], x0[1], 0.0],
+                    method="DOP853", rtol=_ORBIT_TOL, atol=_ORBIT_TOL,
+                    dense_output=True, events=section)
+    return float(sol.t_events[0][0]), sol.sol, float(sol.y_events[0][0][2])
+
+
+@pytest.mark.parametrize("system, energy", [
+    (harmonic, 0.5), (quartic, 0.5), (pendulum, -0.4),
+    (polynomial_system({(2, 0): 0.5, (0, 2): 1.5, (0, 4): 0.25}), 0.7)])
+def test_closed_orbit_float_rhs_is_bit_identical(system, energy):
+    # period, area and 2048 dense samples agree bit for bit with the
+    # numpy-scalar right-hand side, after the same number of gradients
+    x0 = shell_start(system, energy)
+    calls = []
+
+    def counted(tag):
+        def grad(x):
+            calls.append(tag)
+            return system.grad(x)
+        return HamiltonianSystem(system.name, system.value, grad)
+
+    t_new, dense_new, a_new = _closed_orbit(counted("new"), x0, dense=True)
+    t_old, dense_old, a_old = _closed_orbit_numpy_scalars(counted("old"), x0)
+    assert t_new == t_old and a_new == a_old
+    times = t_new * np.arange(2048) / 2048
+    assert dense_new(times).tobytes() == dense_old(times).tobytes()
+    assert calls.count("new") == calls.count("old") > 500
 
 
 def test_periodic_orbit_closes():

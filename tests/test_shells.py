@@ -100,12 +100,14 @@ def test_find_chords_interior_point_example():
 
 
 def test_find_chords_near_shell_point():
-    # chord shorter than the scan grid: diagonal seeds must still split
+    # chords shorter than a ring cell: the ring sample nearest x, split
+    # +-1/4 cell, seeds them; (-0.34, -0.94) is lost without that seed
     shell = circle_shell()
-    chords = find_chords(shell, (0.0, 0.999))
-    assert len(chords) == 1
-    dth = (chords[0].theta_plus - chords[0].theta_minus) % (2 * np.pi)
-    assert_allclose(dth, 2 * np.arccos(0.999), atol=1e-6)
+    for x in ((0.0, 0.999), (-0.34, -0.94)):
+        chords = find_chords(shell, x)
+        assert len(chords) == 1
+        dth = (chords[0].theta_plus - chords[0].theta_minus) % (2 * np.pi)
+        assert_allclose(dth, 2 * np.arccos(np.hypot(*x)), atol=1e-6)
 
 
 def test_find_chords_on_shell_degenerate():
@@ -301,10 +303,20 @@ def full_seeding_chords(shell, xs):
     return owner[keep], tm[keep], tp[keep]
 
 
-def assert_same_chords(shell, xs):
+def assert_same_chords(shell, xs, band=None):
     """_search_chords finds what full_seeding_chords finds: at every
     point that neither flags caustic, the same chord count, within 1e-8
-    rad, and an odd count inside the shell (chord-count parity)."""
+    rad, and an odd count inside the shell (chord-count parity).
+
+    At the points of the mask band the angle bound is the Newton's own,
+    where that is looser: each search stops once the midpoint residual r
+    is below tol = 1e-10 sqrt(s), s = speed_scale, so its angles sit
+    within |M^-1| |r| of the root, M = d(midpoint)/d(theta-, theta+).
+    |M^-1| <= ||M||_F / |det M|, with ||M||_F^2 <= s / 2 and |det M| =
+    |wedge| / 4 (test_wedge_is_four_midpoint_jacobians), so the two
+    searches may differ by 2 tol ||M||_F / |det M| <= 4 sqrt(2) 1e-10
+    s / |wedge|.  A short chord near the shell has a small wedge."""
+    band = np.zeros(len(xs), dtype=bool) if band is None else band
     found = _search_chords(shell, xs)
     ref = full_seeding_chords(shell, xs)
     ref_caustic = np.abs(shell.wedge(ref[1], ref[2])) < (
@@ -321,10 +333,14 @@ def assert_same_chords(shell, xs):
     for k in inside:
         mine, theirs = found.owner == k, ref[0] == k
         order = np.argsort((ref[2][theirs] - ref[1][theirs]) % (2 * np.pi))
+        bound = 1e-8
+        if band[k]:
+            bound = np.maximum(bound, 4 * np.sqrt(2) * 1e-10
+                               * shell.speed_scale / np.abs(found.wedge[mine]))
         for got, want in ((found.theta_minus[mine], ref[1][theirs][order]),
                           (found.theta_plus[mine], ref[2][theirs][order])):
             gap = (got - want + np.pi) % (2 * np.pi) - np.pi
-            assert np.max(np.abs(gap)) < 1e-8
+            assert np.all(np.abs(gap) < bound)
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
@@ -332,24 +348,44 @@ def test_search_matches_full_seeding_on_builtin_grids(builtin_shells, which):
     assert_same_chords(builtin_shells[which], builtin_grid(which))
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(which=st.integers(0, 2),
-       polar=st.lists(st.tuples(st.floats(0.0, 2 * np.pi),
-                                st.floats(0.02, 0.98)),
+       polar=st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.one_of(
+           st.floats(0.02, 0.98),
+           st.floats(-8.0, np.log10(3e-2)).map(lambda u: 1.0 - 10.0**u))),
                       min_size=1, max_size=12))
 def test_search_matches_full_seeding_at_random_points(builtin_shells, which,
                                                       polar):
-    # scaling a shell point towards the origin lands strictly inside
+    # scaling a shell point towards the origin lands strictly inside;
+    # 1 - rho from 1e-8 to 3e-2 draws the near-shell band of short chords
     shell = builtin_shells[which]
-    assert_same_chords(shell, np.array([rho * shell.point(th)
-                                        for th, rho in polar]))
+    rho = np.array([r for _, r in polar])
+    assert_same_chords(shell, np.array([r * shell.point(th)
+                                        for th, r in polar]),
+                       band=rho > 0.98)
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_centre_of_symmetry_converges_from_exact_seeds(builtin_shells,
+                                                       monkeypatch, which):
+    # at the centre every ring sample is a root of H(2x - x(theta)) - E
+    # and pairs with its antipode: every diameter is found, caustic,
+    # before the Newton takes a single step
+    solved = []
+    solve = shells._solve2
+    monkeypatch.setattr(shells, "_solve2",
+                        lambda a, b: solved.append(len(a)) or solve(a, b))
+    found = _search_chords(builtin_shells[which], np.zeros((1, 2)))
+    assert len(found.owner) > 0 and found.caustic.all()
+    assert found.dropped.tolist() == [0] and not solved
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_newton_stops_before_pass_cap(builtin_shells, monkeypatch, which):
-    # one _solve2 per pass that takes a step; some seeds of each of these
-    # searches stall near an antipodal tip pair, and they must not keep
-    # the Newton running to its cap of 40 passes
+    # one _solve2 per pass that takes a step.  Every ring seed starts
+    # within a ring cell of its chord, where the damped Newton converges
+    # quadratically: these searches take 2-7 steps, and no solve on the
+    # grids, benchmark configs and random points checked took more than 12
     solved = []
     solve = shells._solve2
     monkeypatch.setattr(shells, "_solve2",
@@ -358,7 +394,7 @@ def test_newton_stops_before_pass_cap(builtin_shells, monkeypatch, which):
     for xs in (builtin_grid(which), 0.3 * shell.point(3.0)[None]):
         solved.clear()
         _search_chords(shell, xs)
-        assert 0 < len(solved) < 40
+        assert 0 < len(solved) <= 12
 
 
 def _lstsq_rows(a, b):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from chordwigner import build_shell, find_chords, make_system
 from chordwigner.oracle import solve_eigenstates, weyl_transform, DensityGrid
+from chordwigner import shells
 from chordwigner.shells import _BLOCK, _inside
 from chordwigner.wigner import (
     SemiclassicalState,
@@ -88,13 +89,31 @@ def test_eval_grid_matches_pointwise_loop(system, epsilon,
         assert grid.n_chords[at].tolist() == [1] and grid.caustic[at].all()
 
 
-def test_dropped_seeds_counted():
+def test_dropped_seeds_counted(monkeypatch):
+    # every seed of this grid converges within the pass cap, so a cap of
+    # 2 passes forces drops; each seed left unconverged counts once, at
+    # its own point
+    unconverged = []
+    newton = shells._newton_tips
+
+    def recording(shell, x, tm, tp, hcell):
+        ok = newton(shell, x, tm, tp, hcell)
+        unconverged.append(x[~ok])
+        return ok
+
+    monkeypatch.setattr(shells, "_NEWTON_PASSES", 2)
+    monkeypatch.setattr(shells, "_newton_tips", recording)
     st = pure_state(quartic, hbar=0.05, energy=0.5)
     ps, qs = np.linspace(-1.1, 1.1, 21), np.linspace(-0.95, 0.95, 21)
     grid = eval_grid(st, ps, qs)
-    outside = ~st.shell.contains(np.stack(np.meshgrid(ps, qs), axis=-1))
+    xs = np.stack(np.meshgrid(ps, qs), axis=-1)
+    outside = ~st.shell.contains(xs)
     assert outside.any() and grid.dropped_seeds.sum() > 0
     assert not grid.dropped_seeds[outside].any()
+    lost = np.concatenate(unconverged)
+    assert np.array_equal(grid.dropped_seeds, np.sum(
+        np.all(lost[:, None, None] == xs, axis=-1), axis=0))
+    monkeypatch.undo()
     # every seed of this circle point converges
     circle = pure_state(harmonic, hbar=0.05, energy=0.5)
     assert eval_state((0.0, 0.5), circle).dropped_seeds == 0
