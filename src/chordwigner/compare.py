@@ -26,7 +26,7 @@ from .oracle import (
     solve_eigenstates,
     wigner_of_state,
 )
-from .projection import density_matrix, wkb_branches
+from .projection import density_matrix
 from .shells import _MASLOV, Chord, _search_chords, build_shell, named_shell
 from .wigner import SemiclassicalState, _terms
 
@@ -290,8 +290,6 @@ def check_off_diagonal(hbar: float = 0.05) -> CheckResult:
     for i, j in order:
         qp, qm = float(grid[i]), float(grid[j])
         if mag[i, j] < 2.0 * median or abs(qp - qm) < 0.3:
-            continue
-        if any(b.turning for q in (qp, qm) for b in wkb_branches(q, shell)):
             continue
         probes.append((qp, qm))
         if len(probes) == 3:

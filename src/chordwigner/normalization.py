@@ -67,8 +67,6 @@ def purity_decay(shell: ShellSpec, system: HamiltonianSystem,
     _require_shell_dynamics(shell, system)
     if n_angle < 4 or n_angle % 2:
         raise ValueError(f"n_angle must be even and >= 4, got {n_angle}")
-    if t == 0 or not channels:
-        return AngleIntegralReport(value=1.0, grid=n_angle, est_error=0.0)
     thetas = np.arange(n_angle) * TWO_PI / n_angle
     d2 = shell_d2(shell, thetas, thetas, t, channels)
     damp = np.exp(np.divide(d2, -hbar, out=d2), out=d2)

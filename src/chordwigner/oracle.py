@@ -71,10 +71,6 @@ class EigenBasis:
     psis: np.ndarray          # (count, n_grid)
     vgrid: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return len(self.energies)
-
 
 def _separable_potential(system) -> Callable:
     """Extract V(q) from H = p^2/2 + V(q); reject non-separable H."""
@@ -210,9 +206,6 @@ class DensityGrid:
     @property
     def dq(self) -> float:
         return float(self.qs[1] - self.qs[0])
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho))) * self.dq
 
 
 @dataclass

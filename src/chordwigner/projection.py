@@ -13,7 +13,7 @@ from .lindblad import LindbladChannel, _require_shell_dynamics, shell_d2
 from .shells import _MASLOV, TWO_PI, ShellSpec, build_shell
 
 # a query within this fraction of the allowed q span of a turning point
-# gets the single flagged turning branch
+# raises TurningPointError: the primitive WKB amplitude diverges there
 _TURNING_TOL = 1e-6
 
 
@@ -32,7 +32,6 @@ class WKBBranch:
     action: float           # int p dq from the left turning point
     nu: int                 # turning-point passages from the reference angle
     theta: float
-    turning: bool
 
     def phase(self, hbar: float) -> float:
         return self.action / hbar - self.nu * np.pi / 2 - _MASLOV
@@ -45,9 +44,10 @@ class WKBBranch:
 def wkb_branches(q: float, shell: ShellSpec) -> List[WKBBranch]:
     """All shell momenta over the position q with amplitudes and actions.
 
-    Empty outside the classically allowed region; a single flagged
-    branch within _TURNING_TOL of the span from a turning point.  A
-    folded shell, with more than two q-turning points, raises.
+    Empty outside the classically allowed region.  A query within
+    _TURNING_TOL of the span from a turning point, where the amplitude
+    diverges, raises TurningPointError; a folded shell, with more than
+    two q-turning points, raises NumericalError.
     """
     th_left, th_right = shell.q_turning_angles()
     if th_right < th_left:        # unwrap so the two arcs are ordered
@@ -58,14 +58,10 @@ def wkb_branches(q: float, shell: ShellSpec) -> List[WKBBranch]:
     if q < q_left - _TURNING_TOL * span or q > q_right + _TURNING_TOL * span:
         return []
 
-    for th_t, q_t in ((th_left, q_left), (th_right, q_right)):
-        if abs(q - q_t) <= _TURNING_TOL * span:
-            p_t = float(shell.point(th_t)[0])
-            return [WKBBranch(j=0, q=q_t, p=p_t, amplitude=np.nan,
-                              action=float(
-                                  shell.action_integral(th_t)
-                                  - shell.action_integral(th_left)),
-                              nu=0, theta=th_t, turning=True)]
+    if min(abs(q - q_left), abs(q - q_right)) <= _TURNING_TOL * span:
+        raise TurningPointError(
+            f"the query position {q:g} sits at a turning point, where the "
+            "primitive WKB amplitude diverges")
 
     # two monotone-q arcs between the turning angles
     branches = []
@@ -88,8 +84,7 @@ def wkb_branches(q: float, shell: ShellSpec) -> List[WKBBranch]:
         s = float(shell.action_integral(t_root)
                   - shell.action_integral(th_left))
         branches.append(WKBBranch(j=j, q=q, p=float(x[0]), amplitude=amp,
-                                  action=s, nu=nu, theta=t_root % TWO_PI,
-                                  turning=False))
+                                  action=s, nu=nu, theta=t_root % TWO_PI))
     return branches
 
 
@@ -130,9 +125,6 @@ def density_matrix(q_plus, q_minus, shell: ShellSpec,
         raise ValueError("q_plus and q_minus must be 1-d and of equal length")
     qs, idx = np.unique(np.concatenate([q_plus, q_minus]), return_inverse=True)
     found = [wkb_branches(q, shell) for q in qs.tolist()]
-    if any(br and all(b.turning for b in br) for br in found):
-        raise TurningPointError("a query position sits at a turning point, "
-                                "where the primitive WKB amplitude diverges")
     start = np.cumsum([0] + [len(br) for br in found]).tolist()
     theta = (np.array([b.theta for br in found for b in br], dtype=float)
              - TWO_PI * t / shell.period)
@@ -158,24 +150,36 @@ def density_matrix_sc(q_plus: float, q_minus: float, shell: ShellSpec,
     return density_matrix([q_plus], [q_minus], shell, channels, t, hbar)[0]
 
 
+def _turn_back(x):
+    """R^-1 (p', q') = (q', -p'), the inverse of the quarter turn R."""
+    return np.asarray(x, dtype=float)[..., ::-1] * [1.0, -1.0]
+
+
 def swapped_system(system: HamiltonianSystem) -> HamiltonianSystem:
-    """The (p <-> q)-exchanged Hamiltonian (antisymplectic mirror)."""
+    """H' = H o R^-1 under the quarter turn R: (p, q) -> (-q, p), the unit
+    oscillator's quarter-period flow, so that q' = p.  R is canonical, so
+    the flow of H' is R applied to the flow of H; grad H' at x' is
+    (-H_q, H_p) at R^-1 x'."""
     return HamiltonianSystem(
         name=system.name + "-pqswap",
-        value=lambda x: system.value(np.asarray(x)[..., ::-1]),
+        value=lambda x: system.value(_turn_back(x)),
         grad=lambda x: np.asarray(
-            system.grad(np.asarray(x)[..., ::-1]))[..., ::-1])
+            system.grad(_turn_back(x)))[..., ::-1] * [-1.0, 1.0])
 
 
 def swapped_shell(shell: ShellSpec, channels: Sequence[LindbladChannel]):
-    """(shell, channels) with p and q exchanged, for density_matrix.
+    """(shell, channels) in the frame turned by R: (p, q) -> (-q, p), for
+    density_matrix in the momentum representation, where the position
+    variable q' is p.
 
-    The exchange is antisymplectic (time-reversing); |delta L|^2 time
-    integrals are invariant, so the damping carries over unchanged.
+    R is symplectic, so the tips move on the turned shell as they do on
+    the shell itself, and each channel L becomes L o R^-1: L'(x') =
+    L(q', -p').  D_t and the damping are then those of the original
+    frame.
     """
     sw_channels = [LindbladChannel(
         name=ch.name + "-pqswap",
-        func=(lambda f: lambda x: f(np.asarray(x)[..., ::-1]))(ch.func),
+        func=(lambda f: lambda x: f(_turn_back(x)))(ch.func),
         hermitian=ch.hermitian) for ch in channels]
     return (build_shell(swapped_system(shell.system), shell.energy),
             sw_channels)

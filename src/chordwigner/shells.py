@@ -305,23 +305,18 @@ def _solve2(a, b):
 
 def _newton_tips(shell: ShellSpec, x, tm, tp, hcell: float):
     """Damped Newton on midpoint(tm, tp) = x over stacked seeds: updates
-    tm, tp in place and returns the mask of converged seeds.
-
-    A pass is a function of a seed's own tips, so a seed whose tips are
-    bit for bit where they were two passes before would repeat that
-    2-cycle of clipped steps up to the pass cap: it is abandoned."""
+    tm, tp in place and returns the mask of converged seeds.  A pass is a
+    function of a seed's own tips, so each seed's result is what it would
+    be if it were solved alone."""
     tol = 1e-10 * np.sqrt(shell.speed_scale)
     ok = np.zeros(len(x), dtype=bool)
     act = np.arange(len(x))
-    back = np.full((2, 2, len(x)), np.nan)  # tips two and one passes ago
     for _ in range(_NEWTON_PASSES):
         tips = np.array([tm[act], tp[act]])
         r = 0.5 * shell.point(tips).sum(axis=0) - x[act]
         conv = np.linalg.norm(r, axis=-1) < tol
         ok[act[conv]] = True
-        live = ~conv & np.any(tips != back[0][:, act], axis=0)
-        back[:, :, act] = back[1][:, act], tips
-        act, r, tips = act[live], r[live], tips[:, live]
+        act, r, tips = act[~conv], r[~conv], tips[:, ~conv]
         if not act.size:
             break
         jac = 0.5 * shell.velocity_theta(tips).transpose(1, 2, 0)
@@ -335,9 +330,9 @@ class _ChordArrays(NamedTuple):
     """The chords of a batch of points, one entry per chord, grouped by
     owner (the index of the point) in ascending order and, within a
     point, by short-arc length; dropped[k] counts point k's Newton seeds
-    that were abandoned in a 2-cycle or left unconverged at the pass cap,
-    such as a seed from a ring root whose reflection lies on another
-    branch of H = E."""
+    left unconverged at _NEWTON_PASSES, such as a seed from a ring root
+    whose reflection lies on another branch of H = E, or the seed of a
+    point within about 1e-8 of a centre of symmetry."""
 
     owner: np.ndarray
     theta_minus: np.ndarray

@@ -44,8 +44,8 @@ class WignerSample:
     x: np.ndarray
     value: float
     contributions: Tuple[ChordContribution, ...]
-    caustic_flag: bool
-    dropped_seeds: int = 0   # chord-search seeds abandoned or unconverged
+    caustic_flag: bool       # a caustic chord or a dropped seed
+    dropped_seeds: int = 0   # chord-search seeds left unconverged
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ def pure_state(system: HamiltonianSystem, hbar: float,
 def window_factor(tau, epsilon: float, hbar: float):
     """Gaussian spectral weight exp(-(epsilon tau / hbar)^2 / 2) of chords
     with traversal times tau."""
-    if epsilon == 0.0:
-        return 1.0
     return np.exp(-0.5 * (epsilon * tau / hbar) ** 2)
 
 
@@ -98,8 +96,7 @@ def _terms(state: SemiclassicalState, found: _ChordArrays):
     with np.errstate(divide="ignore"):
         amp = _amplitude(found.wedge, state.hbar)
     amp[found.caustic] = np.nan
-    win = np.broadcast_to(window_factor(found.tau, state.epsilon, state.hbar),
-                          amp.shape)
+    win = window_factor(found.tau, state.epsilon, state.hbar)
     return amp, win, found.action / state.hbar - _MASLOV
 
 
@@ -114,8 +111,9 @@ def eval_state(x, state: SemiclassicalState) -> WignerSample:
     """Chord-sum Wigner value at a phase-space point.
 
     Caustic chords (|wedge| < 1e-3 speed_scale) are flagged and left out of
-    the sum; a point outside the shell returns zero with no
-    contributions.
+    the sum.  A point with a dropped Newton seed is flagged too, since its
+    chord may be missing from the sum.  A point outside the shell returns
+    zero with no contributions.
     """
     x = np.asarray(x, dtype=float)
     found = _search_chords(state.shell, x[None])
@@ -128,7 +126,8 @@ def eval_state(x, state: SemiclassicalState) -> WignerSample:
         for k in range(len(amp)))
     return WignerSample(
         x=x, value=float(_point_sums(found, amp, win, phase, 1)[0]),
-        contributions=contribs, caustic_flag=bool(found.caustic.any()),
+        contributions=contribs,
+        caustic_flag=bool(found.caustic.any() or found.dropped[0]),
         dropped_seeds=int(found.dropped[0]))
 
 
@@ -138,8 +137,8 @@ class WignerGridResult:
     qs: np.ndarray
     values: np.ndarray        # (len(qs), len(ps))
     n_chords: np.ndarray
-    caustic: np.ndarray
-    dropped_seeds: np.ndarray  # abandoned or unconverged seeds per point
+    caustic: np.ndarray        # a caustic chord or a dropped seed
+    dropped_seeds: np.ndarray  # seeds left unconverged per point
     state: SemiclassicalState
 
     def write_csv(self, path) -> None:
@@ -171,7 +170,8 @@ def eval_grid(state: SemiclassicalState, ps, qs) -> WignerGridResult:
     """Evaluate the chord sum over a rectangular (p, q) grid.
 
     One batched chord search covers every grid point; the chord terms
-    are summed per point from its arrays.
+    are summed per point from its arrays.  A point is flagged caustic
+    where it has a caustic chord or a dropped seed.
     """
     ps = np.asarray(ps, dtype=float)
     qs = np.asarray(qs, dtype=float)
@@ -182,6 +182,6 @@ def eval_grid(state: SemiclassicalState, ps, qs) -> WignerGridResult:
     return WignerGridResult(
         ps=ps, qs=qs, values=values.reshape(shape),
         n_chords=np.bincount(found.owner, minlength=n).reshape(shape),
-        caustic=(np.bincount(found.owner[found.caustic], minlength=n)
-                 > 0).reshape(shape),
+        caustic=((np.bincount(found.owner[found.caustic], minlength=n) > 0)
+                 | (found.dropped > 0)).reshape(shape),
         dropped_seeds=found.dropped.reshape(shape), state=state)

@@ -1,5 +1,6 @@
-"""Shared pytest plumbing: the acceptance battery's report and the
-per-edge even-odd reference for the shell inside test.
+"""Shared pytest plumbing: the hypothesis profile, the acceptance
+battery's report and the per-edge even-odd reference for the shell
+inside test.
 
 Criterion verdicts are collected during the run and replayed after the
 terminal summary, so the one-line-per-criterion report is visible even
@@ -7,6 +8,13 @@ though pytest captures stdout of passing tests.
 """
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every property test runs the same examples on every run, with no
+# deadline: several examples build a shell or integrate a master equation
+settings.register_profile("chordwigner", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("chordwigner")
 
 _CRITERION_LINES = []
 

@@ -165,7 +165,7 @@ def _family(kind, c):
                                          - (1 - m(e)) * ellipk(m(e))))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
        coupling=st.floats(0.3, 30.0), level=st.floats(0.05, 0.9))
 def test_closed_orbit_period_area_and_action_angle(kind, coupling, level):
@@ -344,7 +344,7 @@ def _same_bits(got, want):
             and got.tobytes() == want.tobytes())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(table=_table, imag=_table, coupling=_coefficient,
        seed=st.integers(0, 2**32 - 1))
 def test_polynomial_tables_match_written_out_sums(table, imag, coupling,
@@ -365,7 +365,7 @@ def test_polynomial_tables_match_written_out_sums(table, imag, coupling,
             _written_out_channel(complex_table, coupling, complex)(pts))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(table=_table, i=st.integers(0, 6), j=st.integers(0, 6))
 def test_poly_deriv_is_repeated_single_derivatives(table, i, j):
     from chordwigner.flow import _poly_deriv

@@ -248,7 +248,7 @@ def _rotation_d2(c, x_plus, x_minus, t, channel):
 TIP = st.tuples(st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(c=st.floats(0.5, 3.0), x_plus=TIP, x_minus=TIP,
        times=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6),
        channel=st.sampled_from(sorted(SHELL_CHANNELS)))
@@ -278,7 +278,7 @@ def test_trace_matches_the_exact_rotation(c, x_plus, x_minus, times,
                         rtol=1e-11, atol=1e-13 * t * scale)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
        stiffness=st.floats(0.0, 1.0), amplitude=st.floats(0.5, 2.0),
        theta=st.floats(0.0, 2 * np.pi), gap=st.floats(0.3, 2 * np.pi - 0.3),
@@ -323,7 +323,7 @@ GRAM_CHANNELS = dict(SHELL_CHANNELS, qp=polynomial_channel(
 ANGLES = st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=12)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
        stiffness=st.floats(0.0, 1.0), amplitude=st.floats(0.5, 2.0),
        theta_a=ANGLES, theta_b=ANGLES, shared=st.booleans(),
@@ -401,7 +401,7 @@ def test_shell_d2_ignores_a_constant_offset(name, energy):
     assert_allclose(offset, plain, rtol=1e-8)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(kind=st.sampled_from(["oscillator", "quartic", "pendulum"]),
        coupling=st.floats(1.0, 3.0),
        radii=st.tuples(st.floats(0.3, 1.2), st.floats(0.3, 1.2)),

@@ -233,7 +233,7 @@ def test_zero_wigner_zero_matrix():
     assert np.max(np.abs(inverse_weyl(wg).rho)) == 0
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(n=st.integers(2, 40), hbar=st.floats(0.01, 1.0),
        dq=st.floats(0.01, 0.5), seed=st.integers(0, 2**32 - 1))
 def test_weyl_transform_matches_defining_sum(n, hbar, dq, seed):
@@ -413,7 +413,7 @@ def test_truncation_leak_aborts():
         lindblad_integrate(state, energies, [qmat], [0.1])
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(dim=st.integers(6, 16), hbar=st.floats(0.05, 0.5),
        channel=st.sampled_from(["q", "p", "both", "rotated"]),
        squeeze=st.floats(0.0, 0.5), t_final=st.floats(0.1, 1.0),

@@ -110,6 +110,7 @@ def test_dropped_seeds_counted(monkeypatch):
     outside = ~st.shell.contains(xs)
     assert outside.any() and grid.dropped_seeds.sum() > 0
     assert not grid.dropped_seeds[outside].any()
+    assert grid.caustic[grid.dropped_seeds > 0].all()
     lost = np.concatenate(unconverged)
     assert np.array_equal(grid.dropped_seeds, np.sum(
         np.all(lost[:, None, None] == xs, axis=-1), axis=0))
@@ -117,6 +118,29 @@ def test_dropped_seeds_counted(monkeypatch):
     # every seed of this circle point converges
     circle = pure_state(harmonic, hbar=0.05, energy=0.5)
     assert eval_state((0.0, 0.5), circle).dropped_seeds == 0
+
+
+@pytest.mark.parametrize("system, energy, points", [
+    (harmonic, 0.5, [(1e-9, 3e-10), (1e-8, 3e-9)]),
+    (quartic, 0.5, [(1e-9, 3e-10)]),
+    (pendulum, -0.4, [(1e-9, 3e-10)])],
+    ids=["harmonic", "quartic", "pendulum"])
+def test_near_centre_lost_chord_is_flagged(system, energy, points):
+    # within about 1e-8 of a centre of symmetry a point's only seed runs
+    # to the pass cap: W reads 0 with no chord, and the flag says so
+    state = SemiclassicalState(build_shell(system, energy), 0.05)
+    for x in points:
+        s = eval_state(x, state)
+        assert (s.value, s.contributions, s.dropped_seeds) == (0.0, (), 1)
+        assert s.caustic_flag
+    ps, qs = (np.append(v, 0.3) for v in zip(*points))
+    grid = eval_grid(state, ps, qs)
+    for k in range(len(points)):
+        assert grid.values[k, k] == 0.0 and grid.n_chords[k, k] == 0
+        assert grid.dropped_seeds[k, k] == 1 and grid.caustic[k, k]
+    # (0.3, 0.3) is a regular inside point
+    assert grid.n_chords[-1, -1] and grid.dropped_seeds[-1, -1] == 0
+    assert not grid.caustic[-1, -1]
 
 
 def test_pure_state_level_selection():
